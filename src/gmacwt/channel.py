@@ -21,6 +21,7 @@ the eavesdropper.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
@@ -43,11 +44,24 @@ def _check_user_count(n):
             f"users: must have between 1 and {MAX_USERS} users (got {n})")
 
 
-def _as_float_tuple(name, values):
+def _as_float(name, value, positive=False):
+    """``value`` as a float that is finite and >= 0 (> 0 if ``positive``)."""
     try:
-        return tuple(float(x) for x in values)
-    except (TypeError, ValueError):
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name}: must be a finite number") from None
+    if not (math.isfinite(out) and (out > 0 if positive else out >= 0)):
+        raise ValidationError(
+            f"{name}: must be finite and {'>' if positive else '>='} 0 (got {out})")
+    return out
+
+
+def _as_float_tuple(name, values, positive=False):
+    try:
+        values = tuple(values)
+    except TypeError:
         raise ValidationError(f"{name}: must be a sequence of numbers") from None
+    return tuple(_as_float(f"{name}[{i}]", v, positive) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -74,9 +88,10 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("gains_to_receiver", "gains_to_eavesdropper", "power_limits"):
-            object.__setattr__(self, name, _as_float_tuple(name, getattr(self, name)))
-        object.__setattr__(self, "noise_var_receiver", float(self.noise_var_receiver))
-        object.__setattr__(self, "noise_var_eavesdropper", float(self.noise_var_eavesdropper))
+            object.__setattr__(self, name, _as_float_tuple(
+                name, getattr(self, name), positive=name == "gains_to_receiver"))
+        for name in ("noise_var_receiver", "noise_var_eavesdropper"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name), positive=True))
 
         k = len(self.gains_to_receiver)
         _check_user_count(k)
@@ -85,23 +100,6 @@ class ChannelParams:
                 raise ValidationError(
                     f"{name}: length {len(getattr(self, name))} does not match "
                     f"the {k} users implied by gains_to_receiver")
-        for i, gain in enumerate(self.gains_to_receiver):
-            if gain <= 0:
-                raise ValidationError(
-                    f"gains_to_receiver[{i}]: must be > 0 (got {gain})")
-        for i, gain in enumerate(self.gains_to_eavesdropper):
-            if gain < 0:
-                raise ValidationError(
-                    f"gains_to_eavesdropper[{i}]: must be >= 0 (got {gain})")
-        for i, p in enumerate(self.power_limits):
-            if p < 0:
-                raise ValidationError(f"power_limits[{i}]: must be >= 0 (got {p})")
-        if self.noise_var_receiver <= 0:
-            raise ValidationError(
-                f"noise_var_receiver: must be > 0 (got {self.noise_var_receiver})")
-        if self.noise_var_eavesdropper <= 0:
-            raise ValidationError(
-                f"noise_var_eavesdropper: must be > 0 (got {self.noise_var_eavesdropper})")
 
     @property
     def num_users(self) -> int:
@@ -135,12 +133,11 @@ class StandardChannel:
             raise ValidationError(
                 f"p_max: length {len(self.p_max)} does not match the "
                 f"{len(self.h)} users implied by h")
-        for i, gain in enumerate(self.h):
-            if gain < 0:
-                raise ValidationError(f"h[{i}]: must be >= 0 (got {gain})")
-        for i, p in enumerate(self.p_max):
-            if p < 0:
-                raise ValidationError(f"p_max[{i}]: must be >= 0 (got {p})")
+        # These two totals bound every subset sum formed inside the box.
+        for name, total in (("p_max", sum(self.p_max)),
+                            ("h*p_max", sum(h * p for h, p in zip(self.h, self.p_max)))):
+            if not math.isfinite(total):
+                raise ValidationError(f"{name}: the users' total overflows (got {total})")
         _check_rate_unit(self.rate_unit)
 
     @property
@@ -213,7 +210,7 @@ def _user_field(users, index, field):
     value = user[field]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"users[{index}].{field}: must be a number (got {value!r})")
-    return float(value)
+    return value
 
 
 def channel_from_json(doc: dict) -> StandardChannel:
@@ -246,8 +243,8 @@ def channel_from_json(doc: dict) -> StandardChannel:
             _user_field(users, i, "gain_receiver") for i in range(len(users))),
         gains_to_eavesdropper=tuple(
             _user_field(users, i, "gain_eavesdropper") for i in range(len(users))),
-        noise_var_receiver=float(doc["noise_var_receiver"]),
-        noise_var_eavesdropper=float(doc["noise_var_eavesdropper"]),
+        noise_var_receiver=doc["noise_var_receiver"],
+        noise_var_eavesdropper=doc["noise_var_eavesdropper"],
         power_limits=tuple(
             _user_field(users, i, "power_max") for i in range(len(users))))
     return standardize(raw, rate_unit=rate_unit)
@@ -272,6 +269,6 @@ def load_channel(path) -> StandardChannel:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"input: cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ValidationError(f"input: {path} is not valid JSON: {exc}") from None
     return channel_from_json(doc)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -57,7 +58,10 @@ def _parse_float(name, text):
 
 
 def _fmt(value) -> str:
-    return repr(float(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise InternalError(f"non-finite value {value} in the CSV output")
+    return repr(value)
 
 
 def _csv(header, rows) -> str:
@@ -67,7 +71,10 @@ def _csv(header, rows) -> str:
 
 
 def _json_doc(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or Infinity, which JSON cannot hold
+        raise InternalError(f"non-finite value in the JSON output ({exc})") from None
 
 
 def _load(args):
@@ -176,9 +183,9 @@ def _cmd_sweep(args):
         return _csv("P1,P2,b1,b2,b12", rows)
 
     two, _ = TwoUserChannel.from_standard(ch)
-    p1 = two.p1_max if args.p1 is None else float(args.p1)
-    if p1 < 0:
-        raise ValidationError(f"p1: must be >= 0 (got {p1})")
+    p1 = two.p1_max if args.p1 is None else _parse_float("p1", args.p1)
+    if not (math.isfinite(p1) and p1 >= 0):
+        raise ValidationError(f"p1: must be finite and >= 0 (got {p1})")
     step = args.p2_step
     if step <= 0:
         raise ValidationError(f"p2-step: must be > 0 (got {step})")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import StandardChannel
+from .channel import StandardChannel, _as_float
 from .errors import ValidationError
 from .region import awgn_capacity
 from .sumrate import max_sum_rate
@@ -55,10 +55,7 @@ class TwoUserChannel:
 
     def __post_init__(self):
         for name in ("h1", "h2", "p1_max", "p2_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if getattr(self, name) < 0:
-                raise ValidationError(
-                    f"{name}: must be >= 0 (got {getattr(self, name)})")
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if self.h1 > self.h2:
             raise ValidationError(
                 f"h1: must be <= h2 (got h1={self.h1}, h2={self.h2}); "

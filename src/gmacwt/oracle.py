@@ -18,7 +18,8 @@ import numpy as np
 from .channel import StandardChannel
 from .errors import ValidationError
 from .jamming import TwoUserChannel
-from .region import FEASIBILITY_TOL
+from .region import (
+    _bounds, _capacities, _grid_axis, _grid_points, _subset_table, _violated)
 
 #: Hard cap on the number of grid points an oracle call may evaluate.
 MAX_GRID_POINTS = 10_000_000
@@ -28,14 +29,12 @@ MAX_GRID_POINTS = 10_000_000
 class GridSpec:
     """Grid resolution for the brute-force oracles.
 
-    ``steps_per_axis`` points are placed uniformly on ``[0, p_max]`` per
-    axis; ``include_corners`` additionally injects the exact endpoints
-    (they are grid points of the uniform spacing already, so this guards
-    against any float drift in the spacing).
+    Each axis is ``{0, step, ..., p_max}`` with ``step = p_max /
+    (steps_per_axis - 1)``: ``steps_per_axis`` uniform points whose first
+    and last are exactly 0 and ``p_max`` (the grid of ``union_sweep``).
     """
 
     steps_per_axis: int = 11
-    include_corners: bool = True
 
     def __post_init__(self):
         if self.steps_per_axis < 2:
@@ -43,20 +42,16 @@ class GridSpec:
                 f"steps_per_axis: must be >= 2 (got {self.steps_per_axis})")
 
 
-def _axis(p_max, spec: GridSpec) -> np.ndarray:
-    values = np.linspace(0.0, p_max, spec.steps_per_axis)
-    if spec.include_corners:
-        values = np.concatenate([values, [0.0, p_max]])
-    return np.unique(values)
-
-
-def _capacity(snr: np.ndarray, unit: str) -> np.ndarray:
-    nats = 0.5 * np.log1p(snr)
-    return nats / math.log(2) if unit == "bits" else nats
+#: Subset-table entries (points times subsets) evaluated at once; bounds
+#: the oracle's memory and keeps the arrays cache-sized.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     """Exhaustive sum-rate maximization over the feasible grid points.
+
+    Feasibility and the sum rate (the full set's bound) come from the
+    subset table of ``gmacwt.region``, a block of points at a time.
 
     Returns
     -------
@@ -64,32 +59,24 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
         The maximizing grid point (lexicographically smallest on ties)
         and its sum secrecy rate.
     """
-    k = ch.num_users
-    axes = [_axis(p, spec) for p in ch.p_max]
+    axes = [_grid_axis(p, spec.steps_per_axis) for p in ch.p_max]
     total = math.prod(len(a) for a in axes)
     if total > MAX_GRID_POINTS:
         raise ValidationError(
             f"steps_per_axis: grid would have {total} points "
             f"(cap {MAX_GRID_POINTS})")
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)  # lexicographic rows
-    weighted = points * np.asarray(ch.h)
-    total_p = points.sum(axis=1)
-    total_hp = weighted.sum(axis=1)
-
-    feasible = np.ones(len(points), dtype=bool)
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        s_p = points[:, idx].sum(axis=1)
-        s_hp = weighted[:, idx].sum(axis=1)
-        slack = s_p - s_hp / (1.0 + total_hp - s_hp)
-        feasible &= slack >= -FEASIBILITY_TOL
-
-    rate = _capacity(total_p, ch.rate_unit) - _capacity(total_hp, ch.rate_unit)
-    rate[~feasible] = -np.inf  # zero power is always feasible, so a max exists
-    best = int(np.argmax(rate))  # first max = lexicographically smallest
-    return tuple(float(x) for x in points[best]), float(rate[best])
+    points = _grid_points(axes)
+    best, best_rate = 0, -np.inf  # zero power is always feasible, so a max exists
+    block = max(1, _BLOCK_ENTRIES >> ch.num_users)
+    for start in range(0, total, block):
+        s_p, s_hp, c_hp = _subset_table(points[start:start + block], ch.h)
+        rate = _bounds(s_p[-1], s_hp[-1], c_hp[-1], ch.rate_unit)
+        rate[_violated(s_p, s_hp, c_hp).any(axis=0)] = -np.inf
+        i = int(np.argmax(rate))  # first max = lexicographically smallest
+        if rate[i] > best_rate:
+            best, best_rate = start + i, rate[i]
+    return tuple(float(x) for x in points[best]), float(best_rate)
 
 
 def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
@@ -107,7 +94,7 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     -------
     (p1, p2, rate) : (float, float, float)
     """
-    p2_axis = _axis(ch.p2_max, spec)
+    p2_axis = _grid_axis(ch.p2_max, spec.steps_per_axis)
     p1_axis = np.unique([0.0, ch.p1_max])
     if len(p1_axis) * len(p2_axis) > MAX_GRID_POINTS:
         raise ValidationError(
@@ -116,8 +103,8 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
 
     best = (-np.inf, 0.0, 0.0)
     for p1 in p1_axis:
-        values = (_capacity(p1 / (1.0 + p2_axis), unit)
-                  - _capacity(ch.h1 * p1 / (1.0 + ch.h2 * p2_axis), unit))
+        values = (_capacities(p1 / (1.0 + p2_axis), unit)
+                  - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2_axis), unit))
         values = np.maximum(values, 0.0)
         i = int(np.argmax(values))  # first max = smallest p2 on ties
         if values[i] > best[0]:

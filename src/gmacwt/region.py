@@ -9,12 +9,17 @@ all rate vectors with ``sum(R_k, k in S) <= main(S) - tap_intf(S)`` for
 every nonempty ``S``, provided the powers lie in the allowable set: inside
 the box ``0 <= P_k <= p_max_k`` and with nonnegative secrecy slack for
 every subset, which is exactly the condition ``main(S) >= tap_intf(S)``.
+
+Slacks and bounds are read from one table of every subset's power sums,
+built for a block of power points at once (``_subset_table``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import StandardChannel
 from .errors import ValidationError
@@ -44,12 +49,70 @@ def awgn_capacity(snr: float, unit: str = "bits") -> float:
     raise ValidationError(f"rate_unit: must be one of ['bits', 'nats'] (got {unit!r})")
 
 
-def _checked_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
+def _capacities(snr: np.ndarray, unit: str) -> np.ndarray:
+    """``awgn_capacity`` of every entry of an array of SNRs."""
+    nats = 0.5 * np.log1p(snr)
+    return nats / math.log(2) if unit == "bits" else nats
+
+
+def _slack(s_p, s_hp, c_hp):
+    """Secrecy slack ``P_S - hP_S / (1 + hP_{S^c})``; scalars or arrays."""
+    return s_p - s_hp / (1.0 + c_hp)
+
+
+def _violated(s_p, s_hp, c_hp):
+    """Where a table's secrecy slack is below ``-FEASIBILITY_TOL``."""
+    return _slack(s_p, s_hp, c_hp) < -FEASIBILITY_TOL
+
+
+def _bounds(s_p, s_hp, c_hp, unit):
+    """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of a table."""
+    return _capacities(s_p, unit) - _capacities(s_hp / (1.0 + c_hp), unit)
+
+
+def _subset_table(points: np.ndarray, h):
+    """Sums over every user subset at the points (rows) of ``points``.
+
+    Returns ``(s_p, s_hp, c_hp)``, each ``(2^K, N)``: row ``m`` holds the
+    sums of ``P_k`` and ``h_k P_k`` over the subset with bitmask ``m``, and
+    of ``h_k P_k`` over its complement.  Pass ``j`` adds user ``j`` to every
+    subset of the users above it, so each sum adds its terms from the
+    highest index down, as ``_scalar_sums`` does.
+    """
+    n, k = points.shape
+    tables = []
+    for values in (points, points * np.asarray(h)):
+        table = np.zeros((1 << k, n))
+        for j in range(k - 1, -1, -1):
+            step = 1 << j
+            table[step::2 * step] = table[::2 * step] + values[:, j]
+        tables.append(table)
+    s_p, s_hp = tables
+    return s_p, s_hp, s_hp[::-1]
+
+
+def _subset_users(k: int) -> list[tuple[int, ...]]:
+    """User tuples of every subset in bitmask order, empty set first."""
+    users = [()]
+    for j in range(k):
+        users += [u + (j,) for u in users]
+    return users
+
+
+def _finite_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
     p = tuple(float(x) for x in powers)
     if len(p) != ch.num_users:
         raise ValidationError(
             f"powers: length {len(p)} does not match the channel's "
             f"{ch.num_users} users")
+    for i, v in enumerate(p):
+        if not math.isfinite(v):
+            raise ValidationError(f"powers[{i}]: must be finite (got {v})")
+    return p
+
+
+def _checked_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
+    p = _finite_powers(powers, ch)
     for i, v in enumerate(p):
         if v < 0:
             raise ValidationError(f"powers[{i}]: must be >= 0 (got {v})")
@@ -70,13 +133,16 @@ def _mask_indices(mask) -> tuple[int, ...]:
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def _all_subset_sums(values) -> list[float]:
-    # sums[m] = sum of values[k] over the bits k set in m, for every mask
-    k = len(values)
-    sums = [0.0] * (1 << k)
-    for m in range(1, 1 << k):
-        low = m & -m
-        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
+def _scalar_sums(subset, powers, ch: StandardChannel):
+    """Sums of ``P_k`` and ``h_k P_k`` over ``subset`` and over its
+    complement, ``[s_p, s_hp, c_p, c_hp]``, equal to the table's entries."""
+    p = _checked_powers(powers, ch)
+    idx = _subset_indices(subset, ch.num_users)
+    sums = [0.0] * 4
+    for k in reversed(range(ch.num_users)):
+        side = 0 if k in idx else 2
+        sums[side] += p[k]
+        sums[side + 1] += ch.h[k] * p[k]
     return sums
 
 
@@ -97,13 +163,7 @@ class SubsetRates:
 
 def subset_rates(subset, powers, ch: StandardChannel) -> SubsetRates:
     """The four capacity quantities of ``subset`` at powers ``powers``."""
-    p = _checked_powers(powers, ch)
-    idx = _subset_indices(subset, ch.num_users)
-    inside = set(idx)
-    s_p = sum(p[k] for k in idx)
-    s_hp = sum(ch.h[k] * p[k] for k in idx)
-    c_p = sum(p[k] for k in range(ch.num_users) if k not in inside)
-    c_hp = sum(ch.h[k] * p[k] for k in range(ch.num_users) if k not in inside)
+    s_p, s_hp, c_p, c_hp = _scalar_sums(subset, powers, ch)
     unit = ch.rate_unit
     return SubsetRates(
         main=awgn_capacity(s_p, unit),
@@ -119,13 +179,8 @@ def secrecy_slack(subset, powers, ch: StandardChannel) -> float:
     Its sign equals the sign of ``main(S) - tap_intf(S)``, i.e. of the
     subset's secrecy rate bound.
     """
-    p = _checked_powers(powers, ch)
-    idx = _subset_indices(subset, ch.num_users)
-    inside = set(idx)
-    s_p = sum(p[k] for k in idx)
-    s_hp = sum(ch.h[k] * p[k] for k in idx)
-    c_hp = sum(ch.h[k] * p[k] for k in range(ch.num_users) if k not in inside)
-    return s_p - s_hp / (1.0 + c_hp)
+    s_p, s_hp, _, c_hp = _scalar_sums(subset, powers, ch)
+    return _slack(s_p, s_hp, c_hp)
 
 
 @dataclass(frozen=True)
@@ -148,23 +203,14 @@ def is_feasible(powers, ch: StandardChannel):
     -------
     (bool, InfeasibilityWitness or None)
     """
-    p = tuple(float(x) for x in powers)
-    if len(p) != ch.num_users:
-        raise ValidationError(
-            f"powers: length {len(p)} does not match the channel's "
-            f"{ch.num_users} users")
+    p = _finite_powers(powers, ch)
     for k, v in enumerate(p):
         if v < 0 or v > ch.p_max[k]:
             return False, InfeasibilityWitness(kind="bound", users=(k,))
-
-    k = ch.num_users
-    sums_p = _all_subset_sums(p)
-    sums_hp = _all_subset_sums([ch.h[i] * p[i] for i in range(k)])
-    total_hp = sums_hp[(1 << k) - 1]
-    for mask in range(1, 1 << k):
-        slack = sums_p[mask] - sums_hp[mask] / (1.0 + total_hp - sums_hp[mask])
-        if slack < -FEASIBILITY_TOL:
-            return False, InfeasibilityWitness(kind="subset", users=_mask_indices(mask))
+    violated = np.flatnonzero(_violated(*_subset_table(np.array([p]), ch.h)))
+    if violated.size:
+        return False, InfeasibilityWitness(
+            kind="subset", users=_mask_indices(int(violated[0])))
     return True, None
 
 
@@ -221,51 +267,25 @@ class RateRegion:
         }
 
 
-def _dedup_points(points, tol=_VERTEX_TOL):
-    kept = []
-    for pt in points:
-        if not any(max(abs(a - b) for a, b in zip(pt, q)) <= tol for q in kept):
-            kept.append(pt)
-    return kept
-
-
-def _vertices_1d(b1):
-    if b1 < 0:
+def _vertices(bounds):
+    """Counterclockwise vertices from the origin of the region with these
+    bounds for K <= 2 (None above); empty when a bound is negative."""
+    if len(bounds) == 1:  # the two-user polygon with R2 pinned at 0
+        return tuple(v[:1] for v in _vertices([bounds[0], 0.0, bounds[0]]))
+    if len(bounds) > 3:
+        return None
+    b1, b2, b12 = bounds
+    if min(b1, b2, b12) < -_VERTEX_TOL:
         return ()
-    return tuple(_dedup_points([(0.0,), (b1,)]))
-
-
-def _vertices_2d(b1, b2, b12):
-    # Lines a*x + b*y = c bounding {x,y >= 0, x <= b1, y <= b2, x+y <= b12}.
-    lines = [
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (1.0, 0.0, b1),
-        (0.0, 1.0, b2),
-        (1.0, 1.0, b12),
-    ]
-    candidates = []
-    for i in range(len(lines)):
-        a1, b1_, c1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a2, b2_, c2 = lines[j]
-            det = a1 * b2_ - b1_ * a2
-            if abs(det) < 1e-15:
-                continue
-            x = (c1 * b2_ - c2 * b1_) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if (x >= -_VERTEX_TOL and y >= -_VERTEX_TOL
-                    and x <= b1 + _VERTEX_TOL and y <= b2 + _VERTEX_TOL
-                    and x + y <= b12 + _VERTEX_TOL):
-                # max(0.0, ...) also normalizes -0.0 to +0.0
-                candidates.append((max(0.0, x), max(0.0, y)))
-    pts = _dedup_points(candidates)
-    if len(pts) <= 2:
-        return tuple(sorted(pts))
-    cx = sum(p[0] for p in pts) / len(pts)
-    cy = sum(p[1] for p in pts) / len(pts)
-    pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    return tuple(pts)
+    b1, b2, b12 = max(b1, 0.0), max(b2, 0.0), max(b12, 0.0)
+    x, y = min(b1, b12), min(b2, b12)
+    kept = [(0.0, 0.0)]
+    for pt in ((x, 0.0), (x, min(y, b12 - x)), (min(x, b12 - y), y), (0.0, y)):
+        # skip repeats of the previous vertex and of (0, 0), which closes the polygon
+        if all(max(abs(pt[0] - q[0]), abs(pt[1] - q[1])) > _VERTEX_TOL
+               for q in (kept[-1], kept[0])):
+            kept.append(pt)
+    return tuple(kept)
 
 
 def classify_two_user_shape(b1: float, b2: float, b12: float) -> str:
@@ -284,51 +304,45 @@ def classify_two_user_shape(b1: float, b2: float, b12: float) -> str:
     return "pentagon"
 
 
+def _regions(table, feasible, unit) -> list[RateRegion]:
+    """One ``RateRegion`` per point (column) of a subset table."""
+    s_p, s_hp, c_hp = table
+    users = _subset_users(len(s_p).bit_length() - 1)[1:]
+    return [RateRegion(tuple(zip(users, b)), _vertices(b), feasible, unit)
+            for b in _bounds(s_p[1:], s_hp[1:], c_hp[1:], unit).T.tolist()]
+
+
 def build_region(powers, ch: StandardChannel) -> RateRegion:
     """Achievable-region halfspaces at fixed powers, one per nonempty
     subset, with exact vertex enumeration for K <= 2."""
     p = _checked_powers(powers, ch)
-    k = ch.num_users
-    sums_p = _all_subset_sums(p)
-    sums_hp = _all_subset_sums([ch.h[i] * p[i] for i in range(k)])
-    total_hp = sums_hp[(1 << k) - 1]
-    unit = ch.rate_unit
-
-    halfspaces = []
-    for mask in range(1, 1 << k):
-        main = awgn_capacity(sums_p[mask], unit)
-        tap_intf = awgn_capacity(
-            sums_hp[mask] / (1.0 + total_hp - sums_hp[mask]), unit)
-        halfspaces.append((_mask_indices(mask), main - tap_intf))
-
-    feasible, _ = is_feasible(p, ch)
-
-    vertices = None
-    if k == 1:
-        vertices = _vertices_1d(halfspaces[0][1])
-    elif k == 2:
-        vertices = _vertices_2d(
-            halfspaces[0][1], halfspaces[1][1], halfspaces[2][1])
-
-    return RateRegion(
-        halfspaces=tuple(halfspaces),
-        vertices=vertices,
-        feasible=feasible,
-        rate_unit=unit)
+    table = _subset_table(np.array([p]), ch.h)
+    feasible = (all(v <= m for v, m in zip(p, ch.p_max))
+                and not _violated(*table).any())
+    return _regions(table, bool(feasible), ch.rate_unit)[0]
 
 
-def _grid_axis(p_max, steps):
-    values = [p_max * i / (steps - 1) for i in range(steps)]
-    return list(dict.fromkeys(values))
+def _grid_axis(p_max: float, steps: int) -> np.ndarray:
+    """The grid ``{0, step, ..., p_max}`` with ``step = p_max / (steps - 1)``;
+    its last point is exactly ``p_max``."""
+    axis = np.linspace(0.0, p_max, steps)
+    return axis[np.append(True, np.diff(axis) > 0)]  # a 0 or tiny p_max repeats points
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The product of ``axes``, one point per row, in lexicographic order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def union_sweep(ch: StandardChannel, grid_steps: int):
     """Regions at every feasible point of a two-user power grid.
 
     The grid per axis is ``{0, step, ..., p_max_k}`` with
-    ``step = p_max_k / (grid_steps - 1)``; infeasible points are skipped.
-    Results are emitted in ascending ``(P1, P2)`` order so a consumer can
-    plot the union envelope of all the regions.
+    ``step = p_max_k / (grid_steps - 1)``, ending exactly at ``p_max_k``;
+    infeasible points are skipped.  Results are emitted in ascending
+    ``(P1, P2)`` order so a consumer can plot the union envelope of all
+    the regions.
 
     Returns
     -------
@@ -339,11 +353,8 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
             f"users: region sweep requires exactly 2 users (got {ch.num_users})")
     if grid_steps < 2:
         raise ValidationError(f"grid_steps: must be >= 2 (got {grid_steps})")
-    out = []
-    for p1 in _grid_axis(ch.p_max[0], grid_steps):
-        for p2 in _grid_axis(ch.p_max[1], grid_steps):
-            powers = (p1, p2)
-            ok, _ = is_feasible(powers, ch)
-            if ok:
-                out.append((powers, build_region(powers, ch)))
-    return out
+    points = _grid_points([_grid_axis(p, grid_steps) for p in ch.p_max])
+    table = _subset_table(points, ch.h)
+    keep = ~_violated(*table).any(axis=0)
+    regions = _regions([t[:, keep] for t in table], True, ch.rate_unit)
+    return [(tuple(pt), r) for pt, r in zip(points[keep].tolist(), regions)]

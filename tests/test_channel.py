@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gmacwt import (
@@ -80,6 +82,9 @@ def test_standardize_preserves_both_snrs():
     ("noise_var_receiver", dict(noise_var_receiver=0)),
     ("noise_var_eavesdropper", dict(noise_var_eavesdropper=-2)),
     ("power_limits", dict(power_limits=(5, -1))),
+    ("gains_to_receiver", dict(gains_to_receiver=(math.nan, 1))),
+    ("noise_var_eavesdropper", dict(noise_var_eavesdropper=math.inf)),
+    ("power_limits", dict(power_limits=(5, -math.inf))),
 ])
 def test_raw_channel_validation_names_field(field, kwargs):
     base = dict(
@@ -98,6 +103,17 @@ def test_user_count_cap():
         StandardChannel(h=(0.5,) * 17, p_max=(1.0,) * 17)
     with pytest.raises(ValidationError, match="users"):
         StandardChannel(h=(), p_max=())
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(h=(math.nan, 0.5), p_max=(1.0, 1.0)), r"h\[0\]: must be finite"),
+    (dict(h=(0.5, 0.5), p_max=(1.0, math.inf)), r"p_max\[1\]: must be finite"),
+    (dict(h=(0.5, 0.7), p_max=(1e308, 1e308)), "p_max: the users' total overflows"),
+    (dict(h=(1e10, 0.7), p_max=(1e300, 1.0)), r"h\*p_max: the users' total overflows"),
+])
+def test_non_finite_and_overflowing_channels_rejected(kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        StandardChannel(**kwargs)
 
 
 def test_length_mismatch_rejected():
@@ -166,6 +182,11 @@ def test_channel_from_json_standard_and_roundtrip():
     ({"standard": True, "users": [{"power_max": 1}]}, r"users\[0\].h"),
     ({"standard": True, "users": [{"h": 1, "power_max": 1}],
       "rate_unit": "dB"}, "rate_unit"),
+    ({"standard": True, "users": [{"h": math.nan, "power_max": 1}]},
+     r"h\[0\]: must be finite"),
+    ({"users": [{"gain_receiver": 1, "gain_eavesdropper": 1, "power_max": 10 ** 400}],
+      "noise_var_receiver": 1, "noise_var_eavesdropper": 1},
+     r"power_limits\[0\]: must be a finite number"),
 ])
 def test_channel_from_json_validation(doc, field):
     with pytest.raises(ValidationError, match=field):

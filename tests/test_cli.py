@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -257,6 +258,51 @@ def test_invalid_power_exits_1(tmp_path, capsys):
                        "--power", "10;10")
     assert code == 1
     assert "error: power" in err
+
+
+@pytest.mark.parametrize("users", [
+    [{"h": math.nan, "power_max": 1.0}, {"h": 2.0, "power_max": 3.0}],
+    [{"h": 0.5, "power_max": math.inf}, {"h": 2.0, "power_max": 3.0}],
+    [{"h": 0.5, "power_max": 1e308}, {"h": 0.7, "power_max": 1e308}],
+])
+def test_non_finite_or_overflowing_channel_exits_1(tmp_path, capsys, users):
+    path = write(tmp_path, {"standard": True, "users": users})
+    for argv in (["maxsum", path], ["region", path], ["sweep", path, "--kind", "region"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible", "{doc}", "--power", "nan,0"],
+    ["region", "{doc}", "--power", "0,inf"],
+    ["sweep", "{doc}", "--kind", "jam", "--p1", "nan"],
+])
+def test_non_finite_power_exits_1(tmp_path, capsys, argv):
+    doc = write(tmp_path, CASE_A_DOC)
+    code, out, err = run(capsys, *(doc if a == "{doc}" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+def test_integer_too_long_to_parse_exits_1(tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_text('{"standard": true, "users": [{"h": 1' + "0" * 5000
+                    + ', "power_max": 1}]}')
+    code, out, err = run(capsys, "maxsum", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: input:")
+
+
+def test_non_finite_output_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "channel_to_json", lambda ch: {"h": [math.nan]})
+    code, out, err = run(capsys, "standardize", write(tmp_path, GOOD_DOC))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error: ") and "Traceback" not in err
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

@@ -38,6 +38,15 @@ def test_two_user_channel_requires_sorted_gains():
         TwoUserChannel(h1=1.4, h2=0.4, p1_max=1, p2_max=1)
 
 
+@pytest.mark.parametrize("field", ["h1", "h2", "p1_max", "p2_max"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_two_user_channel_rejects_negative_and_non_finite(field, value):
+    fields = dict(h1=0.4, h2=1.4, p1_max=1.0, p2_max=1.0)
+    fields[field] = value
+    with pytest.raises(ValidationError, match=f"{field}: must be finite and >= 0"):
+        TwoUserChannel(**fields)
+
+
 def test_from_standard_relabels_users():
     ch = StandardChannel(h=(1.4, 0.4), p_max=(3, 7))
     two, perm = TwoUserChannel.from_standard(ch)

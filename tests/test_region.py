@@ -13,6 +13,7 @@ from gmacwt import (
     subset_rates,
     union_sweep,
 )
+from gmacwt.region import InfeasibilityWitness, _vertices
 
 from helpers import random_box_powers, random_channel, random_feasible_powers, rng
 
@@ -142,6 +143,43 @@ def test_box_is_enough_when_all_gains_below_one():
         powers = random_box_powers(gen, ch)
         ok, witness = is_feasible(powers, ch)
         assert ok, witness
+
+
+def test_is_feasible_reads_the_complement_without_cancellation():
+    # Subset {1} is violated by 2.1e-6 (50-digit value).  Taking the
+    # complement's h*P as (1 + sum h*P) - h*P_S rounds it to the spacing of
+    # floats near 9e5 and reported the point feasible.
+    ch = StandardChannel(h=(1 + 1e-9, 4.988447525679878e-07),
+                         p_max=(909259.0373235354, 2e-3))
+    assert secrecy_slack((0,), ch.p_max, ch) == pytest.approx(-2.10094731e-6, rel=1e-6)
+    assert is_feasible(ch.p_max, ch) == (False, InfeasibilityWitness("subset", (0,)))
+    assert not build_region(ch.p_max, ch).feasible
+
+
+@pytest.mark.parametrize("powers", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_non_finite_powers_rejected(powers):
+    ch = StandardChannel(h=(0.5, 0.5), p_max=(1, 1))
+    for call in (is_feasible, build_region,
+                 lambda p, c: secrecy_slack((0,), p, c),
+                 lambda p, c: subset_rates((0, 1), p, c)):
+        with pytest.raises(ValidationError, match="powers.*must be finite"):
+            call(powers, ch)
+
+
+@pytest.mark.parametrize("bounds,vertices", [
+    ((1.0, 1.0, 3.0), ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
+    ((2.0, 2.0, 3.0), ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 2.0))),
+    ((1.0, 3.0, 2.0), ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 2.0))),
+    ((1.0, 1.0, 0.5), ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))),
+    ((1.0, 0.0, 1.0), ((0.0, 0.0), (1.0, 0.0))),
+    ((1.0, -1e-13, 1.0), ((0.0, 0.0), (1.0, 0.0))),
+    ((0.0, 0.0, 0.0), ((0.0, 0.0),)),
+    ((1.0, -1e-6, 1.0), ()),
+])
+def test_two_user_vertices_closed_form(bounds, vertices):
+    # rectangle, pentagon, quadrilateral, triangle, then degenerate cases:
+    # a segment, a bound within tolerance of 0, a point, a negative bound
+    assert _vertices(list(bounds)) == vertices
 
 
 def test_build_region_two_user_triangle():
@@ -286,6 +324,16 @@ def test_union_sweep_corners():
     results = union_sweep(CH2, 2)
     assert [p for p, _ in results] == [(0.0, 0.0), (0.0, 10.0), (10.0, 0.0), (10.0, 10.0)]
     assert all(region.feasible for _, region in results)
+
+
+def test_union_sweep_includes_the_p_max_edge():
+    # 0.11 * 10 / 10 is 0.11000000000000001, above p_max: a grid built that
+    # way lost its last row and column to the box check.
+    ch = StandardChannel(h=(0.5, 0.5), p_max=(0.11, 0.11))
+    results = union_sweep(ch, 11)
+    assert len(results) == 121  # h < 1, so every grid point is feasible
+    assert max(p1 for (p1, _), _ in results) == 0.11
+    assert results[-1][0] == (0.11, 0.11)
 
 
 def test_union_sweep_zero_power_cap():
