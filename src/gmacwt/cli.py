@@ -34,7 +34,7 @@ from .jamming import (
     solve_jamming,
 )
 from .oracle import GridSpec, grid_max_jamming, grid_max_sum_rate
-from .region import build_region, is_feasible, union_sweep
+from .region import MAX_GRID_POINTS, build_region, is_feasible, union_sweep
 from .sumrate import max_sum_rate
 
 #: --verify tolerances: the closed forms must match the oracles this well.
@@ -55,6 +55,20 @@ def _parse_float(name, text):
         return float(text)
     except ValueError:
         raise ValidationError(f"{name}: expected a number (got {text!r})") from None
+
+
+def _p2_ratio(args, p2_max):
+    """``p2_max / --p2-step``, the jamming-power grid's step count before
+    rounding, once the step is finite and > 0 and the grid under the cap."""
+    step = args.p2_step
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"p2-step: must be finite and > 0 (got {step})")
+    ratio = p2_max / step
+    if ratio + 1 > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"p2-step: {step} would put more than {MAX_GRID_POINTS} grid "
+            f"points on [0, {p2_max}]")
+    return ratio
 
 
 def _fmt(value) -> str:
@@ -150,8 +164,8 @@ def _cmd_jam(args):
                     f"jamming dispatch and sum-rate oracle disagree by {gap} "
                     f"(tolerance {MAXSUM_VERIFY_TOL})")
         else:
-            step = args.p2_step
-            steps = max(2, int(two.p2_max / step) + 1) if two.p2_max > 0 else 2
+            ratio = _p2_ratio(args, two.p2_max)
+            steps = max(2, int(ratio) + 1) if two.p2_max > 0 else 2
             p1, p2, rate = grid_max_jamming(
                 two, GridSpec(steps_per_axis=steps), ch.rate_unit)
             gap = sol.secrecy_rate - rate
@@ -169,12 +183,13 @@ def _cmd_jam(args):
 def _cmd_sweep(args):
     ch = _load(args)
     if args.kind == "region":
+        regions = union_sweep(ch, args.grid_steps)
         print(
             "# region sweep: bounds at every feasible grid point "
             "(union data), rate_unit=" + ch.rate_unit,
             file=sys.stderr)
         rows = []
-        for (p1, p2), region in union_sweep(ch, args.grid_steps):
+        for (p1, p2), region in regions:
             rows.append((
                 p1, p2,
                 region.halfspaces[0][1],
@@ -186,17 +201,15 @@ def _cmd_sweep(args):
     p1 = two.p1_max if args.p1 is None else _parse_float("p1", args.p1)
     if not (math.isfinite(p1) and p1 >= 0):
         raise ValidationError(f"p1: must be finite and >= 0 (got {p1})")
-    step = args.p2_step
-    if step <= 0:
-        raise ValidationError(f"p2-step: must be > 0 (got {step})")
+    ratio = _p2_ratio(args, two.p2_max)
     print(
         f"# jamming sweep: objective vs jamming power at p1={_fmt(p1)}, "
         f"rate_unit={ch.rate_unit}",
         file=sys.stderr)
-    count = int(two.p2_max / step + 1e-9) + 1
+    count = int(ratio + 1e-9) + 1
     rows = []
     for i in range(count):
-        p2 = i * step
+        p2 = i * args.p2_step
         rows.append((p2, jam_objective(p1, p2, two, ch.rate_unit)))
     return _csv("p2,objective", rows)
 
@@ -211,8 +224,15 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gmacwt",
         description="Secrecy rate regions, optimal power allocation, and "
                     "cooperative jamming for the Gaussian multiple-access "
@@ -269,21 +289,27 @@ def _build_parser():
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _emit(payload, out):
+    if not out:
+        sys.stdout.write(payload)
+        return
     try:
-        payload = _COMMANDS[args.command](args)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValidationError(f"out: cannot write {out!r} ({exc.strerror})") from None
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+        _emit(_COMMANDS[args.command](args), args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
     return 0
 
 

@@ -13,16 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import StandardChannel
 from .errors import ValidationError
 from .jamming import TwoUserChannel
 from .region import (
-    _bounds, _capacities, _grid_axis, _grid_points, _subset_table, _violated)
-
-#: Hard cap on the number of grid points an oracle call may evaluate.
-MAX_GRID_POINTS = 10_000_000
+    MAX_GRID_POINTS, _bounds, _capacities, _grid_axis, _grid_points,
+    _subset_table, _violated)
 
 
 @dataclass(frozen=True)
@@ -59,21 +55,20 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
         The maximizing grid point (lexicographically smallest on ties)
         and its sum secrecy rate.
     """
-    axes = [_grid_axis(p, spec.steps_per_axis) for p in ch.p_max]
-    total = math.prod(len(a) for a in axes)
+    total = spec.steps_per_axis ** ch.num_users
     if total > MAX_GRID_POINTS:
         raise ValidationError(
             f"steps_per_axis: grid would have {total} points "
             f"(cap {MAX_GRID_POINTS})")
 
-    points = _grid_points(axes)
-    best, best_rate = 0, -np.inf  # zero power is always feasible, so a max exists
+    points = _grid_points([_grid_axis(p, spec.steps_per_axis) for p in ch.p_max])
+    best, best_rate = 0, -math.inf  # zero power is always feasible, so a max exists
     block = max(1, _BLOCK_ENTRIES >> ch.num_users)
-    for start in range(0, total, block):
+    for start in range(0, len(points), block):
         s_p, s_hp, c_hp = _subset_table(points[start:start + block], ch.h)
         rate = _bounds(s_p[-1], s_hp[-1], c_hp[-1], ch.rate_unit)
-        rate[_violated(s_p, s_hp, c_hp).any(axis=0)] = -np.inf
-        i = int(np.argmax(rate))  # first max = lexicographically smallest
+        rate[_violated(s_p, s_hp, c_hp).any(axis=0)] = -math.inf
+        i = int(rate.argmax())  # first max = lexicographically smallest
         if rate[i] > best_rate:
             best, best_rate = start + i, rate[i]
     return tuple(float(x) for x in points[best]), float(best_rate)
@@ -94,19 +89,19 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     -------
     (p1, p2, rate) : (float, float, float)
     """
-    p2_axis = _grid_axis(ch.p2_max, spec.steps_per_axis)
-    p1_axis = np.unique([0.0, ch.p1_max])
-    if len(p1_axis) * len(p2_axis) > MAX_GRID_POINTS:
+    if 2 * spec.steps_per_axis > MAX_GRID_POINTS:
         raise ValidationError(
-            f"steps_per_axis: grid would have "
-            f"{len(p1_axis) * len(p2_axis)} points (cap {MAX_GRID_POINTS})")
+            f"steps_per_axis: grid would have {2 * spec.steps_per_axis} "
+            f"points (cap {MAX_GRID_POINTS})")
 
-    best = (-np.inf, 0.0, 0.0)
-    for p1 in p1_axis:
+    import numpy as np
+    p2_axis = _grid_axis(ch.p2_max, spec.steps_per_axis)
+    best = (-math.inf, 0.0, 0.0)
+    for p1 in (0.0, ch.p1_max) if ch.p1_max > 0 else (0.0,):
         values = (_capacities(p1 / (1.0 + p2_axis), unit)
                   - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2_axis), unit))
         values = np.maximum(values, 0.0)
-        i = int(np.argmax(values))  # first max = smallest p2 on ties
+        i = int(values.argmax())  # first max = smallest p2 on ties
         if values[i] > best[0]:
             best = (float(values[i]), float(p1), float(p2_axis[i]))
     return best[1], best[2], best[0]

@@ -11,18 +11,22 @@ the box ``0 <= P_k <= p_max_k`` and with nonnegative secrecy slack for
 every subset, which is exactly the condition ``main(S) >= tap_intf(S)``.
 
 Slacks and bounds are read from one table of every subset's power sums,
-built for a block of power points at once (``_subset_table``).
+built for a block of power points at once (``_subset_table``).  numpy is
+imported inside the functions that build arrays, not at module level, so
+the closed forms (``sumrate``, ``jamming``) and the CLI start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import StandardChannel
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Slack allowed on the subset power constraints; absorbs rounding for
 #: optimizers that return points on the boundary.
@@ -32,6 +36,9 @@ FEASIBILITY_TOL = 1e-12
 CONTAINS_TOL = 1e-12
 
 _VERTEX_TOL = 1e-12
+
+#: Hard cap on the number of grid points a sweep or an oracle may evaluate.
+MAX_GRID_POINTS = 10_000_000
 
 
 def awgn_capacity(snr: float, unit: str = "bits") -> float:
@@ -51,6 +58,7 @@ def awgn_capacity(snr: float, unit: str = "bits") -> float:
 
 def _capacities(snr: np.ndarray, unit: str) -> np.ndarray:
     """``awgn_capacity`` of every entry of an array of SNRs."""
+    import numpy as np
     nats = 0.5 * np.log1p(snr)
     return nats / math.log(2) if unit == "bits" else nats
 
@@ -70,8 +78,9 @@ def _bounds(s_p, s_hp, c_hp, unit):
     return _capacities(s_p, unit) - _capacities(s_hp / (1.0 + c_hp), unit)
 
 
-def _subset_table(points: np.ndarray, h):
-    """Sums over every user subset at the points (rows) of ``points``.
+def _subset_table(points, h):
+    """Sums over every user subset at the points (rows) of ``points``, an
+    array or a list of power tuples.
 
     Returns ``(s_p, s_hp, c_hp)``, each ``(2^K, N)``: row ``m`` holds the
     sums of ``P_k`` and ``h_k P_k`` over the subset with bitmask ``m``, and
@@ -79,6 +88,8 @@ def _subset_table(points: np.ndarray, h):
     subset of the users above it, so each sum adds its terms from the
     highest index down, as ``_scalar_sums`` does.
     """
+    import numpy as np
+    points = np.asarray(points, dtype=float)
     n, k = points.shape
     tables = []
     for values in (points, points * np.asarray(h)):
@@ -207,7 +218,7 @@ def is_feasible(powers, ch: StandardChannel):
     for k, v in enumerate(p):
         if v < 0 or v > ch.p_max[k]:
             return False, InfeasibilityWitness(kind="bound", users=(k,))
-    violated = np.flatnonzero(_violated(*_subset_table(np.array([p]), ch.h)))
+    violated = _violated(*_subset_table([p], ch.h)).ravel().nonzero()[0]
     if violated.size:
         return False, InfeasibilityWitness(
             kind="subset", users=_mask_indices(int(violated[0])))
@@ -316,7 +327,7 @@ def build_region(powers, ch: StandardChannel) -> RateRegion:
     """Achievable-region halfspaces at fixed powers, one per nonempty
     subset, with exact vertex enumeration for K <= 2."""
     p = _checked_powers(powers, ch)
-    table = _subset_table(np.array([p]), ch.h)
+    table = _subset_table([p], ch.h)
     feasible = (all(v <= m for v, m in zip(p, ch.p_max))
                 and not _violated(*table).any())
     return _regions(table, bool(feasible), ch.rate_unit)[0]
@@ -325,12 +336,14 @@ def build_region(powers, ch: StandardChannel) -> RateRegion:
 def _grid_axis(p_max: float, steps: int) -> np.ndarray:
     """The grid ``{0, step, ..., p_max}`` with ``step = p_max / (steps - 1)``;
     its last point is exactly ``p_max``."""
+    import numpy as np
     axis = np.linspace(0.0, p_max, steps)
     return axis[np.append(True, np.diff(axis) > 0)]  # a 0 or tiny p_max repeats points
 
 
 def _grid_points(axes) -> np.ndarray:
     """The product of ``axes``, one point per row, in lexicographic order."""
+    import numpy as np
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -353,6 +366,10 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
             f"users: region sweep requires exactly 2 users (got {ch.num_users})")
     if grid_steps < 2:
         raise ValidationError(f"grid_steps: must be >= 2 (got {grid_steps})")
+    if grid_steps ** 2 > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid_steps: grid would have {grid_steps ** 2} points "
+            f"(cap {MAX_GRID_POINTS})")
     points = _grid_points([_grid_axis(p, grid_steps) for p in ch.p_max])
     table = _subset_table(points, ch.h)
     keep = ~_violated(*table).any(axis=0)

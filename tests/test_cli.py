@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +322,99 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [["jam", "--verify"], ["sweep", "--kind", "jam"]])
+def test_bad_p2_step_exits_1(tmp_path, capsys, argv, step):
+    doc = write(tmp_path, CASE_A_DOC)
+    code, out, err = run(capsys, argv[0], doc, *argv[1:], "--p2-step", step)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: p2-step: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("users,argv", [
+    ([{"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 1e300}], ["jam", "--verify"]),
+    (GOOD_DOC["users"], ["sweep", "--kind", "region", "--grid-steps", "100000"]),
+    (CASE_A_DOC["users"], ["sweep", "--kind", "jam", "--p2-step", "1e-9"]),
+])
+def test_oversized_grid_exits_1(tmp_path, capsys, users, argv):
+    doc = write(tmp_path, {"standard": True, "users": users})
+    code, out, err = run(capsys, argv[0], doc, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "10000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxsum", "{doc}", "--grid-steps", "x"],
+    ["frobnicate", "{doc}"],
+    ["feasible", "{doc}"],
+    [],
+])
+def test_usage_error_exits_1(tmp_path, capsys, argv):
+    doc = write(tmp_path, GOOD_DOC)
+    code, out, err = run(capsys, *(doc if a == "{doc}" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["maxsum", "--help"])
+    assert exc.value.code == 0
+    assert "--grid-steps" in capsys.readouterr().out
+
+
+def test_unwritable_output_file_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.json"
+    code, out, err = run(capsys, "maxsum", write(tmp_path, GOOD_DOC),
+                         "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out: ") and len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import gmacwt, gmacwt.cli as cli
+
+def main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+case_a, good, bad = sys.argv[1:]
+seen = {"import": "numpy" in sys.modules}
+codes = [main("standardize", case_a)[0], main("maxsum", case_a)[0],
+         main("jam", case_a)[0], main("sweep", case_a, "--kind", "jam")[0],
+         main("maxsum", bad)[0]]
+seen["closed_form"] = "numpy" in sys.modules
+codes.append(main("jam", case_a, "--verify")[0])
+seen["verify"] = "numpy" in sys.modules
+seen["numpy.ma"] = "numpy.ma" in sys.modules
+code, feasible = main("feasible", good, "--power", "10,10")
+print(json.dumps({"seen": seen, "codes": codes + [code], "feasible": feasible}))
+"""
+
+
+def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
+    """numpy loads only where an array is built: never on import, nor for
+    standardize, maxsum, jam, the jamming sweep or a rejected document."""
+    paths = [write(tmp_path, CASE_A_DOC, "a.json"), write(tmp_path, GOOD_DOC, "g.json"),
+             write(tmp_path, {"standard": True, "users": []}, "bad.json")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *paths], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    report = json.loads(proc.stdout)
+    assert report["seen"] == {"import": False, "closed_form": False,
+                              "verify": True, "numpy.ma": False}
+    assert report["codes"] == [0, 0, 0, 0, 1, 0, 0]
+    _, feasible, _ = run(capsys, "feasible", paths[1], "--power", "10,10")
+    assert report["feasible"] == feasible

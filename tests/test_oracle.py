@@ -92,3 +92,12 @@ def test_oracles_are_deterministic():
     two = random_case_a(gen)
     assert (grid_max_jamming(two, GridSpec(steps_per_axis=777))
             == grid_max_jamming(two, GridSpec(steps_per_axis=777)))
+
+
+@pytest.mark.parametrize("oracle,ch", [
+    (grid_max_sum_rate, StandardChannel(h=(0.1, 0.2), p_max=(10, 10))),
+    (grid_max_jamming, TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=10)),
+])
+def test_grid_size_cap_is_checked_before_the_axes(oracle, ch):
+    with pytest.raises(ValidationError, match="steps_per_axis"):
+        oracle(ch, GridSpec(steps_per_axis=10**12))
