@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ValidationError
 
-#: Feasibility checks enumerate all 2^K - 1 user subsets.
+#: A region lists all 2^K - 1 user subsets.
 MAX_USERS = 16
 
 RATE_UNITS = ("bits", "nats")

@@ -57,18 +57,28 @@ def _parse_float(name, text):
         raise ValidationError(f"{name}: expected a number (got {text!r})") from None
 
 
-def _p2_ratio(args, p2_max):
+def _p2_ratio(args, p2_max, axes=1):
     """``p2_max / --p2-step``, the jamming-power grid's step count before
-    rounding, once the step is finite and > 0 and the grid under the cap."""
+    rounding, once the step is finite and > 0 and the grid is under the
+    cap.  The grid holds ``axes`` points per jamming power: 1 for the
+    jamming sweep, 2 for the jamming oracle (p1 = 0 and p1 = p1_max)."""
     step = args.p2_step
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"p2-step: must be finite and > 0 (got {step})")
-    ratio = p2_max / step
-    if ratio + 1 > MAX_GRID_POINTS:
+
+    def too_many(s):
+        return axes * (p2_max / s + 1) > MAX_GRID_POINTS
+
+    if too_many(step):
+        fits = p2_max / (MAX_GRID_POINTS // axes - 1)
+        while too_many(fits):
+            fits = math.nextafter(fits, math.inf)
+        while not too_many(math.nextafter(fits, 0.0)):
+            fits = math.nextafter(fits, 0.0)
         raise ValidationError(
             f"p2-step: {step} would put more than {MAX_GRID_POINTS} grid "
-            f"points on [0, {p2_max}]")
-    return ratio
+            f"points on [0, {p2_max}]; the smallest step that fits is {fits!r}")
+    return p2_max / step
 
 
 def _fmt(value) -> str:
@@ -164,7 +174,7 @@ def _cmd_jam(args):
                     f"jamming dispatch and sum-rate oracle disagree by {gap} "
                     f"(tolerance {MAXSUM_VERIFY_TOL})")
         else:
-            ratio = _p2_ratio(args, two.p2_max)
+            ratio = _p2_ratio(args, two.p2_max, axes=2)
             steps = max(2, int(ratio) + 1) if two.p2_max > 0 else 2
             p1, p2, rate = grid_max_jamming(
                 two, GridSpec(steps_per_axis=steps), ch.rate_unit)

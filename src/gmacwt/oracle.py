@@ -17,8 +17,7 @@ from .channel import StandardChannel
 from .errors import ValidationError
 from .jamming import TwoUserChannel
 from .region import (
-    MAX_GRID_POINTS, _bounds, _capacities, _grid_axis, _grid_points,
-    _subset_table, _violated)
+    MAX_GRID_POINTS, _bounds, _capacities, _grid_axis, _grid_points, _infeasible)
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,16 @@ class GridSpec:
                 f"steps_per_axis: must be >= 2 (got {self.steps_per_axis})")
 
 
-#: Subset-table entries (points times subsets) evaluated at once; bounds
-#: the oracle's memory and keeps the arrays cache-sized.
+#: Grid points times users evaluated at once; bounds the oracle's memory
+#: and keeps the arrays cache-sized.
 _BLOCK_ENTRIES = 1 << 16
 
 
 def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     """Exhaustive sum-rate maximization over the feasible grid points.
 
-    Feasibility and the sum rate (the full set's bound) come from the
-    subset table of ``gmacwt.region``, a block of points at a time.
+    Feasibility comes from the gain-sorted prefixes of ``gmacwt.region``
+    and the sum rate is the full set's bound, a block of points at a time.
 
     Returns
     -------
@@ -63,11 +62,15 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
 
     points = _grid_points([_grid_axis(p, spec.steps_per_axis) for p in ch.p_max])
     best, best_rate = 0, -math.inf  # zero power is always feasible, so a max exists
-    block = max(1, _BLOCK_ENTRIES >> ch.num_users)
+    block = max(1, _BLOCK_ENTRIES // ch.num_users)
     for start in range(0, len(points), block):
-        s_p, s_hp, c_hp = _subset_table(points[start:start + block], ch.h)
-        rate = _bounds(s_p[-1], s_hp[-1], c_hp[-1], ch.rate_unit)
-        rate[_violated(s_p, s_hp, c_hp).any(axis=0)] = -math.inf
+        columns = points[start:start + block].T
+        s_p = s_hp = 0.0
+        for k in reversed(range(ch.num_users)):  # as the subset table adds
+            s_p = s_p + columns[k]
+            s_hp = s_hp + ch.h[k] * columns[k]
+        rate = _bounds(s_p, s_hp, 0.0, ch.rate_unit)
+        rate[_infeasible(columns, ch.h)] = -math.inf
         i = int(rate.argmax())  # first max = lexicographically smallest
         if rate[i] > best_rate:
             best, best_rate = start + i, rate[i]

@@ -10,8 +10,10 @@ every nonempty ``S``, provided the powers lie in the allowable set: inside
 the box ``0 <= P_k <= p_max_k`` and with nonnegative secrecy slack for
 every subset, which is exactly the condition ``main(S) >= tap_intf(S)``.
 
-Slacks and bounds are read from one table of every subset's power sums,
-built for a block of power points at once (``_subset_table``).  numpy is
+Membership in the allowable set is decided on the K prefixes of the users
+sorted by gain (``_gain_prefixes``), for one point or a column of points.
+Region bounds are read from one table of every subset's power sums, built
+for a block of power points at once (``_subset_table``).  numpy is
 imported inside the functions that build arrays, not at module level, so
 the closed forms (``sumrate``, ``jamming``) and the CLI start without it.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .channel import StandardChannel
@@ -37,8 +40,13 @@ CONTAINS_TOL = 1e-12
 
 _VERTEX_TOL = 1e-12
 
-#: Hard cap on the number of grid points a sweep or an oracle may evaluate.
+#: Hard cap on the number of grid points an oracle or a jamming sweep may
+#: evaluate.
 MAX_GRID_POINTS = 10_000_000
+
+#: Cap on the grid points of ``union_sweep``, which keeps a ``RateRegion``
+#: per feasible point (about 1 KB each).
+MAX_SWEEP_POINTS = 1_000_000
 
 
 def awgn_capacity(snr: float, unit: str = "bits") -> float:
@@ -68,11 +76,6 @@ def _slack(s_p, s_hp, c_hp):
     return s_p - s_hp / (1.0 + c_hp)
 
 
-def _violated(s_p, s_hp, c_hp):
-    """Where a table's secrecy slack is below ``-FEASIBILITY_TOL``."""
-    return _slack(s_p, s_hp, c_hp) < -FEASIBILITY_TOL
-
-
 def _bounds(s_p, s_hp, c_hp, unit):
     """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of a table."""
     return _capacities(s_p, unit) - _capacities(s_hp / (1.0 + c_hp), unit)
@@ -100,6 +103,31 @@ def _subset_table(points, h):
         tables.append(table)
     s_p, s_hp = tables
     return s_p, s_hp, s_hp[::-1]
+
+
+def _gain_prefixes(columns, h):
+    """The users sorted by gain, highest first (ties by index), and for
+    each prefix ``order[:j + 1]`` whether its secrecy slack is below
+    ``-FEASIBILITY_TOL``.
+
+    ``columns[k]`` is user ``k``'s power, a float or an array with one
+    entry per point, so one point and a grid share this arithmetic.  The
+    complement of a prefix is a suffix, so every sum is a running sum.
+    """
+    order = sorted(range(len(h)), key=lambda k: -h[k])
+    hp = [h[k] * columns[k] for k in order]
+    s_p = accumulate(columns[k] for k in order)
+    s_hp = accumulate(hp)
+    c_hp = list(accumulate(reversed(hp[1:]), initial=0.0))[::-1]
+    return order, [_slack(*sums) < -FEASIBILITY_TOL for sums in zip(s_p, s_hp, c_hp)]
+
+
+def _infeasible(columns, h):
+    """Where some gain-sorted prefix is violated, for arrays of points."""
+    out = False
+    for violated in _gain_prefixes(columns, h)[1]:
+        out = out | violated
+    return out
 
 
 def _subset_users(k: int) -> list[tuple[int, ...]]:
@@ -138,10 +166,6 @@ def _subset_indices(subset, num_users) -> tuple[int, ...]:
         raise ValidationError(
             f"subset: user indices must lie in [0, {num_users - 1}] (got {idx})")
     return tuple(idx)
-
-
-def _mask_indices(mask) -> tuple[int, ...]:
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def _scalar_sums(subset, powers, ch: StandardChannel):
@@ -202,27 +226,45 @@ class InfeasibilityWitness:
     users: tuple[int, ...]   # 0-based user indices
 
 
+def _witness(p, ch: StandardChannel) -> InfeasibilityWitness | None:
+    """First violated constraint at the finite powers ``p``, or None."""
+    for k, v in enumerate(p):
+        if v < 0 or v > ch.p_max[k]:
+            return InfeasibilityWitness(kind="bound", users=(k,))
+    order, violated = _gain_prefixes(p, ch.h)
+    if any(violated):
+        users = order[:violated.index(True) + 1]
+        return InfeasibilityWitness(kind="subset", users=tuple(sorted(users)))
+    return None
+
+
 def is_feasible(powers, ch: StandardChannel):
     """Test membership in the allowable power set.
 
     True iff ``0 <= P_k <= p_max_k`` for every user and the secrecy slack
     of every nonempty subset is >= -FEASIBILITY_TOL.  On failure the
-    second return value names the first violated constraint (bounds in
-    user order first, then subsets in ascending bitmask order).
+    second return value names the first violated constraint: a bound, in
+    user order, else the shortest violated prefix of the users sorted by
+    gain, highest first (ties by index).
+
+    Only those K prefixes need checking.  Write ``a = P_S``,
+    ``b = hP_S`` and ``T = sum h_k P_k``.  Since ``hP_{S^c} = T - b``,
+    ``slack(S) >= -tol`` is ``(a + tol)(1 + T - b) >= b``, i.e.
+    ``b <= psi(a) = (1 + T)(a + tol) / (1 + a + tol)``, and ``psi`` is
+    concave, so the allowed points ``(a, b)`` form a convex set.  Every
+    subset's point lies in the zonotope ``sum_k [0, (P_k, h_k P_k)]``,
+    below its upper hull, whose vertices are the gain-sorted prefixes
+    (the steepest segments first).  If every prefix is allowed, so is
+    each hull edge between two of them, and with it every subset.  So
+    no 2^K enumeration is done, and the witness need not be the violated
+    subset of lowest bitmask.
 
     Returns
     -------
     (bool, InfeasibilityWitness or None)
     """
-    p = _finite_powers(powers, ch)
-    for k, v in enumerate(p):
-        if v < 0 or v > ch.p_max[k]:
-            return False, InfeasibilityWitness(kind="bound", users=(k,))
-    violated = _violated(*_subset_table([p], ch.h)).ravel().nonzero()[0]
-    if violated.size:
-        return False, InfeasibilityWitness(
-            kind="subset", users=_mask_indices(int(violated[0])))
-    return True, None
+    witness = _witness(_finite_powers(powers, ch), ch)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -230,19 +272,24 @@ class RateRegion:
     """Halfspace representation of the achievable region at fixed powers.
 
     One halfspace ``sum(R_k, k in S) <= bound`` per nonempty subset ``S``,
-    listed in ascending bitmask order (2^K - 1 entries).  ``vertices`` is
-    populated for K <= 2 only.  ``feasible`` records whether the powers
-    lie in the allowable set; if they do, every bound is nonnegative.
+    listed in ascending bitmask order (2^K - 1 entries).  ``feasible``
+    records whether the powers lie in the allowable set; if they do, every
+    bound is nonnegative.
     """
 
     halfspaces: tuple[tuple[tuple[int, ...], float], ...]
-    vertices: tuple[tuple[float, ...], ...] | None
     feasible: bool
     rate_unit: str
 
     @property
     def num_users(self) -> int:
         return len(self.halfspaces[-1][0])
+
+    @property
+    def vertices(self) -> tuple[tuple[float, ...], ...] | None:
+        """Counterclockwise vertices from the origin for K <= 2 (None
+        above), derived from the bounds; empty when a bound is negative."""
+        return _vertices([bound for _, bound in self.halfspaces])
 
     def bound(self, subset) -> float:
         """Bound of the halfspace for ``subset`` (0-based indices)."""
@@ -319,18 +366,16 @@ def _regions(table, feasible, unit) -> list[RateRegion]:
     """One ``RateRegion`` per point (column) of a subset table."""
     s_p, s_hp, c_hp = table
     users = _subset_users(len(s_p).bit_length() - 1)[1:]
-    return [RateRegion(tuple(zip(users, b)), _vertices(b), feasible, unit)
+    return [RateRegion(tuple(zip(users, b)), feasible, unit)
             for b in _bounds(s_p[1:], s_hp[1:], c_hp[1:], unit).T.tolist()]
 
 
 def build_region(powers, ch: StandardChannel) -> RateRegion:
     """Achievable-region halfspaces at fixed powers, one per nonempty
-    subset, with exact vertex enumeration for K <= 2."""
+    subset, with exact vertices for K <= 2."""
     p = _checked_powers(powers, ch)
-    table = _subset_table([p], ch.h)
-    feasible = (all(v <= m for v, m in zip(p, ch.p_max))
-                and not _violated(*table).any())
-    return _regions(table, bool(feasible), ch.rate_unit)[0]
+    return _regions(_subset_table([p], ch.h), _witness(p, ch) is None,
+                    ch.rate_unit)[0]
 
 
 def _grid_axis(p_max: float, steps: int) -> np.ndarray:
@@ -353,7 +398,8 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
 
     The grid per axis is ``{0, step, ..., p_max_k}`` with
     ``step = p_max_k / (grid_steps - 1)``, ending exactly at ``p_max_k``;
-    infeasible points are skipped.  Results are emitted in ascending
+    infeasible points are skipped, and the grid may hold at most
+    ``MAX_SWEEP_POINTS`` points.  Results are emitted in ascending
     ``(P1, P2)`` order so a consumer can plot the union envelope of all
     the regions.
 
@@ -366,12 +412,11 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
             f"users: region sweep requires exactly 2 users (got {ch.num_users})")
     if grid_steps < 2:
         raise ValidationError(f"grid_steps: must be >= 2 (got {grid_steps})")
-    if grid_steps ** 2 > MAX_GRID_POINTS:
+    if grid_steps ** 2 > MAX_SWEEP_POINTS:
         raise ValidationError(
             f"grid_steps: grid would have {grid_steps ** 2} points "
-            f"(cap {MAX_GRID_POINTS})")
+            f"(cap {MAX_SWEEP_POINTS})")
     points = _grid_points([_grid_axis(p, grid_steps) for p in ch.p_max])
-    table = _subset_table(points, ch.h)
-    keep = ~_violated(*table).any(axis=0)
-    regions = _regions([t[:, keep] for t in table], True, ch.rate_unit)
-    return [(tuple(pt), r) for pt, r in zip(points[keep].tolist(), regions)]
+    points = points[~_infeasible(points.T, ch.h)]
+    regions = _regions(_subset_table(points, ch.h), True, ch.rate_unit)
+    return [(tuple(pt), r) for pt, r in zip(points.tolist(), regions)]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gmacwt.cli as cli
+from gmacwt import ValidationError
 
 RAW_DOC = {
     "users": [
@@ -348,6 +350,30 @@ def test_oversized_grid_exits_1(tmp_path, capsys, users, argv):
     assert "10000000" in err
 
 
+def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsys):
+    # The jamming oracle puts two points (p1 = 0 and p1_max) on each
+    # jamming power, so 1e-3 on [0, 6000] needs 12,000,002 of them.
+    doc = write(tmp_path, {"standard": True, "users": [
+        {"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 6000}]})
+    code, out, err = run(capsys, "jam", doc, "--verify")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: p2-step: 0.001 ") and len(err.splitlines()) == 1
+    fits = float(err.rsplit(" ", 1)[1])
+    args = argparse.Namespace(p2_step=fits)
+    assert 2 * (int(cli._p2_ratio(args, 6000.0, axes=2)) + 1) <= 10_000_000
+    with pytest.raises(ValidationError, match="p2-step"):
+        cli._p2_ratio(argparse.Namespace(p2_step=math.nextafter(fits, 0.0)), 6000.0, axes=2)
+
+
+def test_region_sweep_row_cap(tmp_path, capsys):
+    doc = write(tmp_path, GOOD_DOC)
+    code, out, err = run(capsys, "sweep", doc, "--kind", "region", "--grid-steps", "1001")
+    assert code == 1
+    assert out == ""
+    assert err == "error: grid_steps: grid would have 1002001 points (cap 1000000)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["maxsum", "{doc}", "--grid-steps", "x"],
     ["frobnicate", "{doc}"],
@@ -389,25 +415,28 @@ def main(*argv):
         code = cli.main(list(argv))
     return code, out.getvalue()
 
-case_a, good, bad = sys.argv[1:]
+case_a, good, bad, infeasible = sys.argv[1:]
 seen = {"import": "numpy" in sys.modules}
 codes = [main("standardize", case_a)[0], main("maxsum", case_a)[0],
          main("jam", case_a)[0], main("sweep", case_a, "--kind", "jam")[0],
          main("maxsum", bad)[0]]
+feasible = [main("feasible", good, "--power", "10,10"),
+            main("feasible", infeasible, "--power", "1,1")]
 seen["closed_form"] = "numpy" in sys.modules
 codes.append(main("jam", case_a, "--verify")[0])
 seen["verify"] = "numpy" in sys.modules
 seen["numpy.ma"] = "numpy.ma" in sys.modules
-code, feasible = main("feasible", good, "--power", "10,10")
-print(json.dumps({"seen": seen, "codes": codes + [code], "feasible": feasible}))
+print(json.dumps({"seen": seen, "codes": codes, "feasible": feasible}))
 """
 
 
 def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     """numpy loads only where an array is built: never on import, nor for
-    standardize, maxsum, jam, the jamming sweep or a rejected document."""
+    standardize, feasible, maxsum, jam, the jamming sweep or a rejected
+    document."""
     paths = [write(tmp_path, CASE_A_DOC, "a.json"), write(tmp_path, GOOD_DOC, "g.json"),
-             write(tmp_path, {"standard": True, "users": []}, "bad.json")]
+             write(tmp_path, {"standard": True, "users": []}, "bad.json"),
+             write(tmp_path, BAD_DOC, "infeasible.json")]
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *paths], capture_output=True,
@@ -415,6 +444,8 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     report = json.loads(proc.stdout)
     assert report["seen"] == {"import": False, "closed_form": False,
                               "verify": True, "numpy.ma": False}
-    assert report["codes"] == [0, 0, 0, 0, 1, 0, 0]
-    _, feasible, _ = run(capsys, "feasible", paths[1], "--power", "10,10")
-    assert report["feasible"] == feasible
+    assert report["codes"] == [0, 0, 0, 0, 1, 0]
+    expected = [run(capsys, "feasible", paths[1], "--power", "10,10")[:2],
+                run(capsys, "feasible", paths[3], "--power", "1,1")[:2]]
+    assert report["feasible"] == [list(e) for e in expected]
+    assert [json.loads(out)["feasible"] for _, out in expected] == [True, False]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmacwt import (
     GridSpec,
@@ -82,6 +83,23 @@ def test_oracle_never_beats_closed_form():
         solver = solve_case_a if ch.h1 < 1 else solve_case_b
         _, _, rate = grid_max_jamming(ch, GridSpec(steps_per_axis=2001))
         assert rate <= solver(ch).secrecy_rate + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.one_of(st.floats(0.0, 4.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9)),
+             min_size=k, max_size=k),
+    st.lists(st.floats(1e-6, 1e6), min_size=k, max_size=k))),
+    st.integers(2, 6))
+def test_grid_oracle_matches_the_closed_form(case, steps):
+    """Every axis ends at p_max, so the closed form's optimum (each user at
+    0 or p_max) is a grid point: the oracle's feasibility filter must keep
+    it and admit no point above it, also for gains near 1 and caps far
+    apart in magnitude."""
+    h, p_max = case
+    ch = StandardChannel(h=h, p_max=p_max)
+    _, rate = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
+    assert abs(rate - max_sum_rate(ch).sum_rate) <= 1e-9
 
 
 def test_oracles_are_deterministic():

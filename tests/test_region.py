@@ -13,6 +13,7 @@ from gmacwt import (
     subset_rates,
     union_sweep,
 )
+from gmacwt import region as region_module
 from gmacwt.region import InfeasibilityWitness, _vertices
 
 from helpers import random_box_powers, random_channel, random_feasible_powers, rng
@@ -133,6 +134,18 @@ def test_is_feasible_bound_witness():
     assert not ok
     assert witness.kind == "bound"
     assert witness.users == (1,)
+
+
+def test_is_feasible_builds_no_subset_table_at_16_users(monkeypatch):
+    def refuse(points, h):
+        raise AssertionError("is_feasible built the 2^K subset table")
+    monkeypatch.setattr(region_module, "_subset_table", refuse)
+    h = tuple(0.25 * k for k in range(16))  # users 8..15 have h >= 2
+    ch = StandardChannel(h=h, p_max=(1.0,) * 16)
+    assert is_feasible((1.0,) * 8 + (0.0,) * 8, ch) == (True, None)
+    # Powering only user 16 (h = 3.75) violates the first prefix, {16}.
+    assert is_feasible((0.0,) * 15 + (1.0,), ch) == (
+        False, InfeasibilityWitness("subset", (15,)))
 
 
 def test_box_is_enough_when_all_gains_below_one():

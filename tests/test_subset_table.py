@@ -1,5 +1,6 @@
-"""Property tests: the subset table behind is_feasible, build_region and
-union_sweep against the per-subset public functions.
+"""Property tests: the gain-sorted prefix check behind is_feasible and the
+subset table behind build_region and union_sweep, against the per-subset
+public functions (the enumerator).
 
 Gains spread over [0, 4] with a share within 1e-9 of 1, where a subset's
 slack is nearly 0; powers span 1e-6 to 1e6 (and 0), where sums of very
@@ -17,7 +18,7 @@ from gmacwt import (
     subset_rates,
     union_sweep,
 )
-from gmacwt.region import FEASIBILITY_TOL, InfeasibilityWitness, _mask_indices
+from gmacwt.region import FEASIBILITY_TOL, InfeasibilityWitness, _subset_users
 
 GAINS = st.one_of(st.floats(0.0, 4.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9))
 POWERS = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
@@ -34,16 +35,55 @@ def channel_and_powers(draw, min_users=1, max_users=8):
     return StandardChannel(h=h, p_max=p, rate_unit=unit), p
 
 
+def _at_the_boundary(slack, p):
+    """Whether ``slack`` is within rounding of -FEASIBILITY_TOL: the prefix
+    check adds a subset's terms in gain order, ``secrecy_slack`` in index
+    order, so their slacks may differ by a few ulps of ``sum(p)``."""
+    return abs(slack + FEASIBILITY_TOL) <= 1e-13 * max(1.0, sum(p))
+
+
+def _gain_sorted_prefixes(ch):
+    order = sorted(range(ch.num_users), key=lambda k: (-ch.h[k], k))
+    return [tuple(sorted(order[:j + 1])) for j in range(ch.num_users)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(channel_and_powers())
-def test_is_feasible_witness_is_the_lowest_violated_mask(case):
+@given(channel_and_powers(max_users=10))
+def test_is_feasible_verdict_matches_the_enumerator(case):
     ch, p = case
-    violated = (m for m in range(1, 1 << ch.num_users)
-                if secrecy_slack(_mask_indices(m), p, ch) < -FEASIBILITY_TOL)
-    first = next(violated, None)
-    expected = ((True, None) if first is None
-                else (False, InfeasibilityWitness("subset", _mask_indices(first))))
-    assert is_feasible(p, ch) == expected
+    least = min(secrecy_slack(users, p, ch)
+                for users in _subset_users(ch.num_users)[1:])
+    if not _at_the_boundary(least, p):
+        assert is_feasible(p, ch)[0] is (least >= -FEASIBILITY_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel_and_powers(max_users=10))
+def test_is_feasible_witness_is_the_first_violated_prefix(case):
+    ch, p = case
+    ok, witness = is_feasible(p, ch)
+    if ok:
+        assert witness is None
+        return
+    prefixes = _gain_sorted_prefixes(ch)
+    assert witness.kind == "subset" and witness.users in prefixes
+    for users in prefixes[:prefixes.index(witness.users) + 1]:
+        slack = secrecy_slack(users, p, ch)
+        if not _at_the_boundary(slack, p):
+            assert (slack < -FEASIBILITY_TOL) is (users == witness.users)
+
+
+def test_witness_is_a_prefix_when_the_minimum_slack_subset_is_not():
+    # Gain order is user 1, user 2; user 1 is silent, so subsets {2} and
+    # {1, 2} share the point (P_S, hP_S) = (1, 2) and the slack -1.  The
+    # enumerator meets {2} first, but it is not a gain-sorted prefix.  (A
+    # violated minimum is always also reached at a prefix, as here: the
+    # slack falls as hP_S grows at fixed P_S and is concave.)
+    ch = StandardChannel(h=(5.0, 2.0), p_max=(0.0, 1.0))
+    p = ch.p_max
+    slacks = {users: secrecy_slack(users, p, ch) for users in ((0,), (1,), (0, 1))}
+    assert slacks == {(0,): 0.0, (1,): -1.0, (0, 1): -1.0}
+    assert is_feasible(p, ch) == (False, InfeasibilityWitness("subset", (0, 1)))
 
 
 @settings(max_examples=200, deadline=None)
