@@ -1,5 +1,11 @@
 """Secrecy rate regions, optimal power allocation, and cooperative jamming
-for the Gaussian multiple-access wiretap channel."""
+for the Gaussian multiple-access wiretap channel.
+
+The names below are the public API.  The per-subset rate quantities, the
+jamming thresholds and stationarity helpers, and the sum-rate pieces stay
+importable from their modules (``gmacwt.region``, ``gmacwt.jamming``,
+``gmacwt.sumrate``, ``gmacwt.channel``).
+"""
 
 from .channel import (
     ChannelParams,
@@ -7,42 +13,19 @@ from .channel import (
     channel_from_json,
     channel_to_json,
     load_channel,
-    sort_by_gain,
     standardize,
 )
 from .errors import InternalError, ValidationError
-from .jamming import (
-    JammingSolution,
-    TwoUserChannel,
-    jam_objective,
-    jam_roots,
-    no_jam_power_threshold,
-    p1_stationarity,
-    p2_stationarity,
-    silence_threshold,
-    solve_case_a,
-    solve_case_b,
-    solve_jamming,
+from .jamming import JammingSolution, TwoUserChannel, jam_objective, solve_jamming
+from .oracle import (
+    GridSpec,
+    grid_max_jamming,
+    grid_max_sum_rate,
+    verify_jamming,
+    verify_sum_rate,
 )
-from .oracle import GridSpec, grid_max_jamming, grid_max_sum_rate
-from .region import (
-    RateRegion,
-    SubsetRates,
-    awgn_capacity,
-    build_region,
-    classify_two_user_shape,
-    is_feasible,
-    secrecy_slack,
-    subset_rates,
-    union_sweep,
-)
-from .sumrate import (
-    SumRateSolution,
-    max_sum_rate,
-    prune_bad_users,
-    snr_ratio,
-    sum_secrecy_rate,
-)
+from .region import RateRegion, build_region, is_feasible, union_sweep
+from .sumrate import SumRateSolution, max_sum_rate
 
 __all__ = [
     "ChannelParams",
@@ -51,37 +34,23 @@ __all__ = [
     "JammingSolution",
     "RateRegion",
     "StandardChannel",
-    "SubsetRates",
     "SumRateSolution",
     "TwoUserChannel",
     "ValidationError",
-    "awgn_capacity",
     "build_region",
     "channel_from_json",
     "channel_to_json",
-    "classify_two_user_shape",
     "grid_max_jamming",
     "grid_max_sum_rate",
     "is_feasible",
     "jam_objective",
-    "jam_roots",
     "load_channel",
     "max_sum_rate",
-    "no_jam_power_threshold",
-    "p1_stationarity",
-    "p2_stationarity",
-    "prune_bad_users",
-    "secrecy_slack",
-    "silence_threshold",
-    "snr_ratio",
-    "solve_case_a",
-    "solve_case_b",
     "solve_jamming",
-    "sort_by_gain",
     "standardize",
-    "subset_rates",
-    "sum_secrecy_rate",
     "union_sweep",
+    "verify_jamming",
+    "verify_sum_rate",
 ]
 
 __version__ = "0.1.0"

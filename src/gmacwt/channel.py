@@ -177,14 +177,6 @@ def sort_by_gain(ch: StandardChannel) -> tuple[StandardChannel, tuple[int, ...]]
     return ordered, perm
 
 
-def invert_permutation(perm) -> tuple[int, ...]:
-    """Inverse of a 0-based permutation tuple."""
-    inv = [0] * len(perm)
-    for i, k in enumerate(perm):
-        inv[k] = i
-    return tuple(inv)
-
-
 # ---------------------------------------------------------------------------
 # JSON channel documents
 # ---------------------------------------------------------------------------

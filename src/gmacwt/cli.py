@@ -26,20 +26,10 @@ from dataclasses import replace
 
 from .channel import channel_to_json, load_channel
 from .errors import InternalError, ValidationError
-from .jamming import (
-    BRANCH_NO_JAM,
-    CASE_DEGENERATE,
-    TwoUserChannel,
-    jam_objective,
-    solve_jamming,
-)
-from .oracle import GridSpec, grid_max_jamming, grid_max_sum_rate
+from .jamming import TwoUserChannel, jam_objective, solve_jamming
+from .oracle import verify_jamming, verify_sum_rate
 from .region import MAX_GRID_POINTS, build_region, is_feasible, union_sweep
 from .sumrate import max_sum_rate
-
-#: --verify tolerances: the closed forms must match the oracles this well.
-MAXSUM_VERIFY_TOL = 1e-9
-JAM_VERIFY_TOL = 1e-5
 
 
 def _parse_powers(text):
@@ -142,15 +132,8 @@ def _cmd_maxsum(args):
     sol = max_sum_rate(ch)
     doc = sol.to_json_dict()
     if args.verify:
-        steps = args.grid_steps or (11 if ch.num_users <= 3 else 6)
-        powers, rate = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
-        gap = sol.sum_rate - rate
-        doc["oracle"] = {"p_star": list(powers), "sum_rate": rate, "gap": gap}
-        if abs(gap) > MAXSUM_VERIFY_TOL:
-            raise InternalError(
-                f"sum-rate optimizer and grid oracle disagree by {gap} "
-                f"(tolerance {MAXSUM_VERIFY_TOL}); oracle found "
-                f"p_star={list(powers)}")
+        # --grid-steps 0, like no --grid-steps, asks for the default grid
+        doc["oracle"] = verify_sum_rate(ch, sol, args.grid_steps or None)
     return _json_doc(doc)
 
 
@@ -160,33 +143,8 @@ def _cmd_jam(args):
     sol = solve_jamming(two, ch.rate_unit)
     doc = sol.to_json_dict(permutation=perm)
     if args.verify:
-        if sol.case_tag == CASE_DEGENERATE and sol.branch == BRANCH_NO_JAM:
-            # No jammer: the solution came from the sum-rate optimizer, so
-            # verify against the matching oracle.
-            powers, rate = grid_max_sum_rate(ch, GridSpec(steps_per_axis=11))
-            gap = sol.secrecy_rate - rate
-            doc["oracle"] = {
-                "kind": "sum_rate", "p_star": list(powers),
-                "rate": rate, "gap": gap,
-            }
-            if abs(gap) > MAXSUM_VERIFY_TOL:
-                raise InternalError(
-                    f"jamming dispatch and sum-rate oracle disagree by {gap} "
-                    f"(tolerance {MAXSUM_VERIFY_TOL})")
-        else:
-            ratio = _p2_ratio(args, two.p2_max, axes=2)
-            steps = max(2, int(ratio) + 1) if two.p2_max > 0 else 2
-            p1, p2, rate = grid_max_jamming(
-                two, GridSpec(steps_per_axis=steps), ch.rate_unit)
-            gap = sol.secrecy_rate - rate
-            doc["oracle"] = {
-                "kind": "jamming", "powers": [p1, p2], "rate": rate, "gap": gap,
-            }
-            if abs(gap) > JAM_VERIFY_TOL:
-                raise InternalError(
-                    f"jamming solver and grid oracle disagree by {gap} "
-                    f"(tolerance {JAM_VERIFY_TOL}); oracle found "
-                    f"(p1, p2)=({p1}, {p2})")
+        doc["oracle"] = verify_jamming(
+            ch, sol, lambda p2_max: int(_p2_ratio(args, p2_max, axes=2)) + 1)
     return _json_doc(doc)
 
 

@@ -147,11 +147,37 @@ def jam_roots(p1, ch: TwoUserChannel) -> tuple[float, float, float]:
             f"h2: stationarity roots need h2 >= 1 (got {ch.h2})")
     h1, h2 = ch.h1, ch.h2
     disc = h1 * h2 * ((h2 - 1.0) + (h2 - h1) * p1) * (h2 - 1.0)
-    root = math.sqrt(disc)
-    denom = h2 * (h2 - h1)
-    p_hi = (-h2 * (1.0 - h1) + root) / denom
-    p_lo = (-h2 * (1.0 - h1) - root) / denom
-    return disc, p_lo, p_hi
+    p_lo = (-h2 * (1.0 - h1) - math.sqrt(disc)) / (h2 * (h2 - h1))
+    return disc, p_lo, _p_hi(float(p1), h1, h2)
+
+
+def _p_hi(p1, h1, h2):
+    """The larger root of ``a p^2 + 2 b p - c`` with ``a = h2 (h2 - h1)``,
+    ``b = h2 (1 - h1)`` and ``c = h1 (h2 + (h2 - 1) p1) - 1``, whose
+    discriminant ``b^2 + a c`` is ``disc``.
+
+    Every term is divided by ``s = sqrt(a)``, and ``t = sqrt(disc) / s``
+    is a product of square roots, so no intermediate overflows on the
+    channels that a ``StandardChannel`` admits (each ``h_k * p_k``
+    finite), which the tests sample from 1e-300 to 1e300.  In case B
+    (``h1 >= 1``) the root is ``(sqrt(disc) - b) / a``, a sum of
+    nonnegative terms.  In case A it is ``c / (b + sqrt(disc))``, in which
+    only ``c`` cancels, near the no-jam threshold, so ``c / s`` (and
+    ``b / s``, which must round alike for ``h2 == 1`` to give exactly -1)
+    is formed in integers and rounded once.
+    """
+    g = h2 - h1
+    s = math.sqrt(h2) * math.sqrt(g)
+    t = math.sqrt(h1) * math.sqrt(h2 - 1.0) * math.sqrt(p1 + (h2 - 1.0) / g)
+    if h1 >= 1.0:
+        return (t + (h1 - 1.0) * math.sqrt(h2 / g)) / s
+    n1, d1 = h1.as_integer_ratio()
+    n2, d2 = h2.as_integer_ratio()
+    n3, d3 = p1.as_integer_ratio()
+    ns, ds = s.as_integer_ratio()
+    den = d1 * d2 * d3
+    b = n2 * (d1 - n1) * ds / (d1 * d2 * ns)
+    return (n1 * (n2 * d3 + (n2 - d2) * n3) - den) * ds / (den * ns) / (b + t)
 
 
 def p2_stationarity(p1, p2, ch: TwoUserChannel) -> float:
@@ -189,55 +215,19 @@ def silence_threshold(ch: TwoUserChannel) -> float:
     return (ch.h1 - 1.0) / (ch.h2 - ch.h1)
 
 
-def solve_case_a(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
-    """Closed-form optimum for ``h1 < 1 <= h2``.
-
-    User 1 transmits at full power (its stationarity numerator is always
-    negative); user 2 jams at the positive root clamped to the box.
-    """
-    if not ch.h1 < 1.0 <= ch.h2:
-        raise ValidationError(
-            f"h: case A requires h1 < 1 <= h2 (got h1={ch.h1}, h2={ch.h2})")
-    if ch.p1_max == 0.0:
-        return JammingSolution(0.0, 0.0, 0.0, BRANCH_NO_JAM, CASE_A, unit)
-    _, _, p_hi = jam_roots(ch.p1_max, ch)
-    if p_hi <= 0.0:
-        p2, branch = 0.0, BRANCH_NO_JAM
-    elif p_hi <= ch.p2_max:
-        p2, branch = p_hi, BRANCH_INTERIOR_ROOT
-    else:
-        p2, branch = ch.p2_max, BRANCH_FULL_JAM
-    rate = max(0.0, jam_objective(ch.p1_max, p2, ch, unit))
-    return JammingSolution(ch.p1_max, p2, rate, branch, CASE_A, unit)
-
-
-def solve_case_b(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
-    """Closed-form optimum for ``1 <= h1 < h2``.
-
-    Below the silence threshold on ``p2_max`` no positive rate exists and
-    everyone stays silent; above it the solution has the case-A form.
-    """
-    if not 1.0 <= ch.h1 < ch.h2:
-        raise ValidationError(
-            f"h: case B requires 1 <= h1 < h2 (got h1={ch.h1}, h2={ch.h2})")
-    if ch.p2_max <= silence_threshold(ch) or ch.p1_max == 0.0:
-        return JammingSolution(0.0, 0.0, 0.0, BRANCH_ALL_SILENT, CASE_B, unit)
-    _, _, p_hi = jam_roots(ch.p1_max, ch)
-    if ch.p2_max <= p_hi:
-        p2, branch = ch.p2_max, BRANCH_FULL_JAM
-    else:
-        p2, branch = p_hi, BRANCH_INTERIOR_ROOT
-    rate = max(0.0, jam_objective(ch.p1_max, p2, ch, unit))
-    return JammingSolution(ch.p1_max, p2, rate, branch, CASE_B, unit)
-
-
 def solve_jamming(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
-    """Dispatch over the jamming regimes.
+    """Closed-form optimum over the box ``0 <= P_k <= p_k_max``.
 
     Both gains below 1: there is no jammer; the sum-rate-optimal
     allocation is returned with branch ``NoJam``.  Equal gains >= 1:
     jamming works only through the gain ratio, which is 1 here, so
-    everyone stays silent.  Otherwise case A or case B applies.
+    everyone stays silent.  In case B nobody transmits up to the silence
+    threshold on ``p2_max``, or when user 1 has no power.  Otherwise
+    (case A, or case B past the threshold) user 1 transmits at full
+    power, as its stationarity numerator is negative at the jamming power
+    chosen, and user 2 jams at the positive root ``p_hi`` clamped to
+    ``[0, p2_max]``: ``NoJam``, ``InteriorRoot`` (``p_hi <= p2_max``, ties
+    included) or ``FullJam``.
     """
     if ch.h2 < 1.0:
         std = StandardChannel(
@@ -247,7 +237,19 @@ def solve_jamming(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
             sol.powers[0], sol.powers[1], sol.sum_rate,
             BRANCH_NO_JAM, CASE_DEGENERATE, unit)
     if ch.h1 < 1.0:
-        return solve_case_a(ch, unit)
-    if ch.h2 - ch.h1 <= EQUAL_GAIN_TOL:
+        case = CASE_A
+    elif ch.h2 - ch.h1 <= EQUAL_GAIN_TOL:
         return JammingSolution(0.0, 0.0, 0.0, BRANCH_ALL_SILENT, CASE_DEGENERATE, unit)
-    return solve_case_b(ch, unit)
+    elif ch.p2_max <= silence_threshold(ch) or ch.p1_max == 0.0:
+        return JammingSolution(0.0, 0.0, 0.0, BRANCH_ALL_SILENT, CASE_B, unit)
+    else:
+        case = CASE_B
+    p_hi = jam_roots(ch.p1_max, ch)[2] if ch.p1_max > 0.0 else 0.0
+    if p_hi <= 0.0:
+        p2, branch = 0.0, BRANCH_NO_JAM
+    elif p_hi <= ch.p2_max:
+        p2, branch = p_hi, BRANCH_INTERIOR_ROOT
+    else:
+        p2, branch = ch.p2_max, BRANCH_FULL_JAM
+    rate = max(0.0, jam_objective(ch.p1_max, p2, ch, unit))
+    return JammingSolution(ch.p1_max, p2, rate, branch, case, unit)

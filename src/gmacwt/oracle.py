@@ -1,10 +1,11 @@
 """Brute-force grid verification of the closed-form optimizers.
 
-Exhaustive evaluation over power grids, used by the tests and by the CLI
-``--verify`` flag as an independent cross-check.  The sum-rate oracle
-filters the grid through the allowable-power-set constraints (the set the
-sum-rate optimizer works over); the jamming oracle searches the plain box
-(the set the jamming solvers work over).  Ties are broken toward the
+Exhaustive evaluation over power grids, used by the tests and, through
+``verify_sum_rate`` and ``verify_jamming``, by the CLI ``--verify`` flag
+as an independent cross-check.  The sum-rate oracle filters the grid
+through the allowable-power-set constraints (the set the sum-rate
+optimizer works over); the jamming oracle searches the plain box (the set
+the jamming solver works over).  Ties are broken toward the
 lexicographically smallest power vector so repeated runs are bit-identical.
 """
 
@@ -14,10 +15,17 @@ import math
 from dataclasses import dataclass
 
 from .channel import StandardChannel
-from .errors import ValidationError
-from .jamming import TwoUserChannel
-from .region import (
-    MAX_GRID_POINTS, _bounds, _capacities, _grid_axis, _grid_points, _infeasible)
+from .errors import InternalError, ValidationError
+from .jamming import (
+    BRANCH_NO_JAM, CASE_DEGENERATE, JammingSolution, TwoUserChannel)
+from .region import MAX_GRID_POINTS, _capacities, _grid_axis, _infeasible
+from .sumrate import SumRateSolution
+
+#: The closed forms must match the oracles this well: the sum rate (which
+#: the grid holds exactly, at a box corner) and the jamming rate (whose
+#: optimum lies between grid points).
+SUM_RATE_VERIFY_TOL = 1e-9
+JAMMING_VERIFY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,9 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     """Exhaustive sum-rate maximization over the feasible grid points.
 
     Feasibility comes from the gain-sorted prefixes of ``gmacwt.region``
-    and the sum rate is the full set's bound, a block of points at a time.
+    and the sum rate is the full set's bound, a block of points at a time;
+    each block's points are built from their grid indices, so memory does
+    not grow with the grid.
 
     Returns
     -------
@@ -60,21 +70,29 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
             f"steps_per_axis: grid would have {total} points "
             f"(cap {MAX_GRID_POINTS})")
 
-    points = _grid_points([_grid_axis(p, spec.steps_per_axis) for p in ch.p_max])
+    import numpy as np
+    axes = [_grid_axis(p, spec.steps_per_axis) for p in ch.p_max]
+    shape = tuple(len(axis) for axis in axes)
+    size = math.prod(shape)
     best, best_rate = 0, -math.inf  # zero power is always feasible, so a max exists
     block = max(1, _BLOCK_ENTRIES // ch.num_users)
-    for start in range(0, len(points), block):
-        columns = points[start:start + block].T
+    for start in range(0, size, block):
+        rest = np.arange(start, min(start + block, size))  # flat grid indices
+        columns = [None] * ch.num_users
         s_p = s_hp = 0.0
         for k in reversed(range(ch.num_users)):  # as the subset table adds
+            rest, index = np.divmod(rest, shape[k])  # the index on axis k
+            columns[k] = axes[k][index]
             s_p = s_p + columns[k]
             s_hp = s_hp + ch.h[k] * columns[k]
-        rate = _bounds(s_p, s_hp, 0.0, ch.rate_unit)
+        # the full set's bound; its complement is empty, so no interference
+        rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
         rate[_infeasible(columns, ch.h)] = -math.inf
         i = int(rate.argmax())  # first max = lexicographically smallest
         if rate[i] > best_rate:
             best, best_rate = start + i, rate[i]
-    return tuple(float(x) for x in points[best]), float(best_rate)
+    index = np.unravel_index(best, shape)
+    return tuple(float(axis[i]) for axis, i in zip(axes, index)), float(best_rate)
 
 
 def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
@@ -108,3 +126,62 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
         if values[i] > best[0]:
             best = (float(values[i]), float(p1), float(p2_axis[i]))
     return best[1], best[2], best[0]
+
+
+def _gap(closed_form, oracle, tol, who, found=""):
+    """``closed_form - oracle``; raises InternalError beyond ``tol``."""
+    gap = closed_form - oracle
+    if abs(gap) > tol:
+        raise InternalError(f"{who} disagree by {gap} (tolerance {tol}){found}")
+    return gap
+
+
+def _default_steps(ch: StandardChannel) -> int:
+    return 11 if ch.num_users <= 3 else 6
+
+
+def verify_sum_rate(ch: StandardChannel, sol: SumRateSolution, steps=None) -> dict:
+    """Cross-check ``max_sum_rate(ch)`` against ``grid_max_sum_rate``.
+
+    ``steps`` is the grid's points per axis, by default 11 for up to 3
+    users and 6 above.  Returns the ``"oracle"`` entry of the CLI's JSON
+    document; raises InternalError when the rates differ by more than
+    ``SUM_RATE_VERIFY_TOL``.
+    """
+    if steps is None:
+        steps = _default_steps(ch)
+    powers, rate = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
+    gap = _gap(sol.sum_rate, rate, SUM_RATE_VERIFY_TOL,
+               "sum-rate optimizer and grid oracle",
+               f"; oracle found p_star={list(powers)}")
+    return {"p_star": list(powers), "sum_rate": rate, "gap": gap}
+
+
+def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps) -> dict:
+    """Cross-check ``solve_jamming`` on the two-user channel ``ch`` (users
+    in their original order) against the matching grid oracle.
+
+    The NoJam solution of the degenerate case came from the sum-rate
+    optimizer, so it is checked against ``grid_max_sum_rate`` on the
+    default grid, within ``SUM_RATE_VERIFY_TOL``.  Any other solution is
+    checked against ``grid_max_jamming`` within ``JAMMING_VERIFY_TOL``,
+    on ``max(2, p2_steps(p2_max))`` points of the jamming power axis
+    ``[0, p2_max]``.  ``p2_steps`` is called only then, so a caller may
+    validate its step inside it.
+
+    Returns the ``"oracle"`` entry of the CLI's JSON document, whose
+    ``kind`` names the oracle; raises InternalError beyond tolerance.
+    """
+    if sol.case_tag == CASE_DEGENERATE and sol.branch == BRANCH_NO_JAM:
+        powers, rate = grid_max_sum_rate(
+            ch, GridSpec(steps_per_axis=_default_steps(ch)))
+        gap = _gap(sol.secrecy_rate, rate, SUM_RATE_VERIFY_TOL,
+                   "jamming dispatch and sum-rate oracle")
+        return {"kind": "sum_rate", "p_star": list(powers), "rate": rate, "gap": gap}
+    two, _ = TwoUserChannel.from_standard(ch)
+    steps = max(2, p2_steps(two.p2_max))
+    p1, p2, rate = grid_max_jamming(two, GridSpec(steps_per_axis=steps), ch.rate_unit)
+    gap = _gap(sol.secrecy_rate, rate, JAMMING_VERIFY_TOL,
+               "jamming solver and grid oracle",
+               f"; oracle found (p1, p2)=({p1}, {p2})")
+    return {"kind": "jamming", "powers": [p1, p2], "rate": rate, "gap": gap}

@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmacwt import (
     ChannelParams,
@@ -8,10 +10,9 @@ from gmacwt import (
     ValidationError,
     channel_from_json,
     channel_to_json,
-    sort_by_gain,
     standardize,
 )
-from gmacwt.channel import invert_permutation
+from gmacwt.channel import sort_by_gain
 
 from helpers import random_channel, rng
 
@@ -73,6 +74,30 @@ def test_standardize_preserves_both_snrs():
             tap_snr = raw.gains_to_eavesdropper[i] * raw.power_limits[i] / raw.noise_var_eavesdropper
             assert ch.p_max[i] == pytest.approx(rx_snr, rel=1e-12)
             assert ch.h[i] * ch.p_max[i] == pytest.approx(tap_snr, rel=1e-12)
+
+
+#: Magnitudes far apart, and values within 1e-9 of 1 (standardized gains
+#: near 1 when receiver and eavesdropper are nearly alike).
+MAGNITUDES = st.one_of(st.floats(1e-60, 1e60), st.floats(1.0 - 1e-9, 1.0 + 1e-9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.lists(MAGNITUDES, min_size=k, max_size=k),
+    st.lists(st.one_of(st.just(0.0), MAGNITUDES), min_size=k, max_size=k),
+    MAGNITUDES, MAGNITUDES,
+    st.lists(st.one_of(st.just(0.0), MAGNITUDES), min_size=k, max_size=k))))
+def test_standardize_preserves_both_snrs_to_a_few_ulps(case):
+    """Both per-user SNRs survive standardization to a few ulps, against
+    exact rational arithmetic; no product here leaves [1e-300, 1e300], so
+    nothing underflows."""
+    gm, gw, nr, ne, power = case
+    ch = standardize(ChannelParams(gm, gw, nr, ne, power))
+    for k in range(len(gm)):
+        rx = Fraction(gm[k]) * Fraction(power[k]) / Fraction(nr)
+        tap = Fraction(gw[k]) * Fraction(power[k]) / Fraction(ne)
+        for got, exact in ((ch.p_max[k], rx), (ch.h[k] * ch.p_max[k], tap)):
+            assert abs(Fraction(got) - exact) <= 8 * 2.0 ** -53 * exact
 
 
 @pytest.mark.parametrize("field,kwargs", [
@@ -145,7 +170,9 @@ def test_sort_then_inverse_permutation_restores_input():
         k = int(gen.integers(1, 9))
         ch = random_channel(gen, k)
         ordered, perm = sort_by_gain(ch)
-        inv = invert_permutation(perm)
+        inv = [0] * k
+        for position, user in enumerate(perm):
+            inv[user] = position
         assert tuple(ordered.h[inv[i]] for i in range(k)) == ch.h
         assert tuple(ordered.p_max[inv[i]] for i in range(k)) == ch.p_max
 

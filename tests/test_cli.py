@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gmacwt.cli as cli
-from gmacwt import ValidationError
+from gmacwt import ValidationError, oracle, region
 
 RAW_DOC = {
     "users": [
@@ -145,7 +145,7 @@ def test_maxsum_verify_reports_small_gap(tmp_path, capsys):
 
 
 def test_maxsum_verify_mismatch_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "grid_max_sum_rate", lambda ch, spec: ((0.0, 0.0), 99.0))
+    monkeypatch.setattr(oracle, "grid_max_sum_rate", lambda ch, spec: ((0.0, 0.0), 99.0))
     code, _, err = run(capsys, "maxsum", write(tmp_path, GOOD_DOC), "--verify")
     assert code == 2
     assert "internal error:" in err
@@ -347,7 +347,10 @@ def test_oversized_grid_exits_1(tmp_path, capsys, users, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert "10000000" in err
+    if "region" in argv:
+        assert f"(cap {region.MAX_SWEEP_POINTS})" in err
+    else:
+        assert f"more than {region.MAX_GRID_POINTS} grid points" in err
 
 
 def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsys):

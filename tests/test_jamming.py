@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from gmacwt import (
@@ -7,14 +8,14 @@ from gmacwt import (
     TwoUserChannel,
     ValidationError,
     jam_objective,
+    solve_jamming,
+)
+from gmacwt.jamming import (
     jam_roots,
     no_jam_power_threshold,
     p1_stationarity,
     p2_stationarity,
     silence_threshold,
-    solve_case_a,
-    solve_case_b,
-    solve_jamming,
 )
 
 from helpers import random_case_a, random_case_b, rng
@@ -130,7 +131,7 @@ def test_p2_stationarity_matches_numeric_derivative():
 
 
 def test_solve_case_a_interior_root():
-    sol = solve_case_a(CASE_A_CH)
+    sol = solve_jamming(CASE_A_CH)
     assert sol.p1 == 10.0
     assert sol.p2 == pytest.approx(A_ROOT, abs=1e-12)
     assert sol.secrecy_rate == pytest.approx(A_RATE, abs=1e-12)
@@ -139,27 +140,24 @@ def test_solve_case_a_interior_root():
 
 
 def test_solve_case_a_no_jam():
-    sol = solve_case_a(TwoUserChannel(h1=0.4, h2=1.4, p1_max=1, p2_max=10))
+    sol = solve_jamming(TwoUserChannel(h1=0.4, h2=1.4, p1_max=1, p2_max=10))
     assert (sol.p1, sol.p2) == (1.0, 0.0)
     assert sol.branch == "NoJam"
+    assert sol.case_tag == "A"
     _, _, hi = jam_roots(1.0, CASE_A_CH)
     assert hi == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_solve_case_a_full_jam():
-    sol = solve_case_a(TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=0.2))
+    sol = solve_jamming(TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=0.2))
     assert (sol.p1, sol.p2) == (10.0, 0.2)
     assert sol.branch == "FullJam"
+    assert sol.case_tag == "A"
     assert sol.secrecy_rate == pytest.approx(A_RATE_FULL, abs=1e-12)
 
 
-def test_solve_case_a_rejects_other_regimes():
-    with pytest.raises(ValidationError, match="case A"):
-        solve_case_a(CASE_B_CH)
-
-
 def test_solve_case_b_interior_root():
-    sol = solve_case_b(CASE_B_CH)
+    sol = solve_jamming(CASE_B_CH)
     assert sol.p1 == 10.0
     assert sol.p2 == pytest.approx(B_ROOT, abs=1e-11)
     assert sol.secrecy_rate == pytest.approx(B_RATE, abs=1e-12)
@@ -171,16 +169,18 @@ def test_solve_case_b_interior_root():
 
 
 def test_solve_case_b_all_silent():
-    sol = solve_case_b(TwoUserChannel(h1=1.2, h2=1.4, p1_max=10, p2_max=0.5))
+    sol = solve_jamming(TwoUserChannel(h1=1.2, h2=1.4, p1_max=10, p2_max=0.5))
     assert (sol.p1, sol.p2, sol.secrecy_rate) == (0.0, 0.0, 0.0)
     assert sol.branch == "AllSilent"
+    assert sol.case_tag == "B"
     assert silence_threshold(CASE_B_CH) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_solve_case_b_full_jam():
-    sol = solve_case_b(TwoUserChannel(h1=1.2, h2=1.4, p1_max=10, p2_max=3))
+    sol = solve_jamming(TwoUserChannel(h1=1.2, h2=1.4, p1_max=10, p2_max=3))
     assert (sol.p1, sol.p2) == (10.0, 3.0)
     assert sol.branch == "FullJam"
+    assert sol.case_tag == "B"
     assert sol.secrecy_rate == pytest.approx(B_RATE_FULL, abs=1e-12)
 
 
@@ -239,7 +239,8 @@ def test_jammer_always_helps_when_gain_product_exceeds_one():
         ch = TwoUserChannel(h1=h1, h2=h2, p1_max=gen.uniform(1e-6, 20), p2_max=10)
         _, _, hi = jam_roots(ch.p1_max, ch)
         assert hi > 0
-        sol = solve_case_a(ch)
+        sol = solve_jamming(ch)
+        assert sol.case_tag == "A"
         assert sol.p2 > 0
         assert sol.secrecy_rate >= jam_objective(ch.p1_max, 0, ch) - 1e-12
 
@@ -264,7 +265,8 @@ def test_case_a_jamming_never_hurts():
     gen = rng(46)
     for _ in range(100):
         ch = random_case_a(gen)
-        sol = solve_case_a(ch)
+        sol = solve_jamming(ch)
+        assert sol.case_tag == "A"
         baseline = jam_objective(ch.p1_max, 0, ch) if ch.p1_max > 0 else 0.0
         assert sol.secrecy_rate >= baseline - 1e-12
         _, _, hi = jam_roots(ch.p1_max, ch) if ch.p1_max > 0 else (0, 0, 0.0)
@@ -290,9 +292,112 @@ def test_solution_rate_unit_passthrough():
 
 
 def test_jamming_solution_json_document():
-    doc = solve_case_a(CASE_A_CH).to_json_dict(permutation=(1, 0))
+    doc = solve_jamming(CASE_A_CH).to_json_dict(permutation=(1, 0))
     assert doc["powers"] == [10.0, pytest.approx(A_ROOT, abs=1e-12)]
     assert doc["branch"] == "InteriorRoot"
     assert doc["case_tag"] == "A"
     assert doc["permutation"] == [2, 1]
     assert doc["rate_unit"] == "bits"
+
+
+def _mp_p_hi(h1, h2, p1):
+    """``p_hi`` from its defining expression in 80-digit arithmetic."""
+    with mpmath.workdps(80):
+        h1, h2, p1 = (mpmath.mpf(x) for x in (h1, h2, p1))
+        disc = h1 * h2 * ((h2 - 1) + (h2 - h1) * p1) * (h2 - 1)
+        return (-h2 * (1 - h1) + mpmath.sqrt(disc)) / (h2 * (h2 - h1))
+
+
+def _clamped(p_hi, p2_max):
+    """The jamming power and branch of a root clamped to [0, p2_max]."""
+    if p_hi <= 0:
+        return 0.0, "NoJam"
+    if p_hi <= p2_max:
+        return p_hi, "InteriorRoot"
+    return p2_max, "FullJam"
+
+
+BANDS = [1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 1e-1]
+
+
+@pytest.mark.parametrize("band", BANDS)
+def test_p_hi_is_accurate_near_the_case_a_threshold(band):
+    """Just around p1 = (1 - h1*h2) / (h1*(h2 - 1)) the two terms of the
+    root's numerator cancel; the root must still be within 1e-14 relative
+    of an 80-digit evaluation, also for h2 within 1e-9 of 1."""
+    gen = rng(48)
+    for _ in range(100):
+        h1 = float(gen.uniform(0.01, 0.99))
+        h2 = 1.0 + (1.0 / h1 - 1.0) * 10.0 ** float(gen.uniform(-9, -1e-3))
+        threshold = (1.0 - h1 * h2) / (h1 * (h2 - 1.0))
+        p1 = threshold * (1.0 + band * float(gen.choice((-1, 1)) * gen.uniform(1, 2)))
+        ch = TwoUserChannel(h1=h1, h2=h2, p1_max=p1, p2_max=1e300)
+        exact = _mp_p_hi(h1, h2, p1)
+        p_hi = jam_roots(p1, ch)[2]
+        assert abs(p_hi - exact) <= 1e-14 * abs(exact), (h1, h2, p1)
+        sol = solve_jamming(ch)
+        assert (sol.p2, sol.branch) == _clamped(p_hi, ch.p2_max)
+        assert sol.branch == ("NoJam" if exact <= 0 else "InteriorRoot")
+
+
+@pytest.mark.parametrize("band", BANDS)
+def test_case_b_near_the_silence_threshold(band):
+    """Around p2_max = (h1 - 1) / (h2 - h1) the solution switches from
+    silence to jamming at the exact threshold, and the jamming power
+    beyond it matches an 80-digit evaluation of the clamped root."""
+    gen = rng(49)
+    for _ in range(100):
+        h1 = float(gen.uniform(1.0, 1.9))
+        h2 = h1 + float(10.0 ** gen.uniform(-6, 0))
+        with mpmath.workdps(80):
+            threshold = (mpmath.mpf(h1) - 1) / (mpmath.mpf(h2) - h1)
+        p2_max = float(threshold) * (1.0 + band * float(gen.choice((-1, 1)) * gen.uniform(1, 2)))
+        ch = TwoUserChannel(h1=h1, h2=h2, p1_max=float(gen.uniform(1e-3, 20)), p2_max=p2_max)
+        sol = solve_jamming(ch)
+        if p2_max <= threshold:
+            assert (sol.p1, sol.p2, sol.secrecy_rate, sol.branch) == (0.0, 0.0, 0.0, "AllSilent")
+            continue
+        exact = _mp_p_hi(h1, h2, ch.p1_max)
+        p2, branch = _clamped(exact, p2_max)
+        assert (sol.p1, sol.branch, sol.case_tag) == (ch.p1_max, branch, "B")
+        assert abs(sol.p2 - p2) <= 1e-14 * p2, (ch, sol)
+
+
+def test_p_hi_is_accurate_at_extreme_magnitudes():
+    """Gains and powers from 1e-300 to 1e300 (each user's received powers
+    finite, as ``StandardChannel`` requires), where the discriminant, the
+    parabola's coefficients or ``h1 * h2 * p1`` overflow: the root, the
+    clamp and the rate stay finite and match an 80-digit evaluation."""
+    gen = rng(50)
+    checked = 0
+    while checked < 400:
+        if checked % 2 == 0:  # case A
+            h1 = float(10.0 ** gen.uniform(-300, 0) * gen.uniform(0, 1))
+            h2 = 1.0 + float(10.0 ** gen.uniform(-16, 300))
+        else:  # case B
+            h1 = 1.0 + float(10.0 ** gen.uniform(-16, 300))
+            h2 = h1 * (1.0 + float(10.0 ** gen.uniform(-11, 5)))
+        p1, p2 = (float(10.0 ** gen.uniform(-300, 308)) for _ in range(2))
+        received = (h1 * p1, h2 * p2, h1 * p1 + h2 * p2, p1 + p2)
+        if not (h1 < h2 and all(map(math.isfinite, (h2, *received)))):
+            continue
+        checked += 1
+        ch = TwoUserChannel(h1=h1, h2=h2, p1_max=p1, p2_max=p2)
+        sol = solve_jamming(ch)
+        assert math.isfinite(sol.secrecy_rate) and sol.secrecy_rate >= 0.0
+        if sol.branch == "AllSilent":
+            assert p2 <= silence_threshold(ch)
+            continue
+        exact = _mp_p_hi(h1, h2, p1)
+        assert abs(jam_roots(p1, ch)[2] - exact) <= 1e-14 * abs(exact), ch
+        p2_exact, branch = _clamped(exact, p2)
+        assert sol.branch == branch, (ch, sol)
+        assert abs(sol.p2 - p2_exact) <= 1e-14 * p2_exact, (ch, sol)
+
+
+@pytest.mark.parametrize("ch", [CASE_A_CH, CASE_B_CH])
+def test_a_root_at_the_cap_is_interior(ch):
+    """The one clamp labels p_hi == p2_max an interior root in both cases."""
+    p_hi = jam_roots(ch.p1_max, ch)[2]
+    sol = solve_jamming(TwoUserChannel(ch.h1, ch.h2, ch.p1_max, p_hi))
+    assert (sol.p2, sol.branch) == (p_hi, "InteriorRoot")

@@ -1,16 +1,21 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmacwt import (
     GridSpec,
+    InternalError,
     StandardChannel,
     TwoUserChannel,
     ValidationError,
     grid_max_jamming,
     grid_max_sum_rate,
     max_sum_rate,
-    solve_case_a,
-    solve_case_b,
+    oracle,
+    solve_jamming,
+    verify_jamming,
+    verify_sum_rate,
 )
 
 from helpers import random_case_a, random_case_b, random_channel, rng
@@ -54,7 +59,7 @@ def test_grid_jamming_brackets_the_interior_root():
     assert p1 == 10.0
     assert abs(p2 - 0.49021623019079503) <= step
     assert rate == pytest.approx(0.59659250286014471, abs=1e-5)
-    assert rate <= solve_case_a(ch).secrecy_rate + 1e-12
+    assert rate <= solve_jamming(ch).secrecy_rate + 1e-12
 
 
 def test_grid_jamming_case_b_all_silent():
@@ -62,7 +67,7 @@ def test_grid_jamming_case_b_all_silent():
     p1, p2, rate = grid_max_jamming(ch, GridSpec(steps_per_axis=501))
     assert rate == 0.0
     assert (p1, p2) == (0.0, 0.0)  # deterministic tie-break
-    assert solve_case_b(ch).secrecy_rate == 0.0
+    assert solve_jamming(ch).secrecy_rate == 0.0
 
 
 def test_grid_jamming_zero_transmit_power():
@@ -80,9 +85,8 @@ def test_oracle_never_beats_closed_form():
         assert rate <= sol.sum_rate + 1e-9
     for _ in range(20):
         ch = random_case_a(gen) if gen.random() < 0.5 else random_case_b(gen)
-        solver = solve_case_a if ch.h1 < 1 else solve_case_b
         _, _, rate = grid_max_jamming(ch, GridSpec(steps_per_axis=2001))
-        assert rate <= solver(ch).secrecy_rate + 1e-12
+        assert rate <= solve_jamming(ch).secrecy_rate + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,3 +123,73 @@ def test_oracles_are_deterministic():
 def test_grid_size_cap_is_checked_before_the_axes(oracle, ch):
     with pytest.raises(ValidationError, match="steps_per_axis"):
         oracle(ch, GridSpec(steps_per_axis=10**12))
+
+
+def test_grid_sum_rate_memory_does_not_grow_with_the_grid():
+    """Each block's points are built from their indices, so a grid of
+    2,097,152 points (7 users, 8 steps) is searched in a few MB; building
+    the whole grid first took 8 bytes per point and user twice over,
+    about 235 MB here."""
+    ch = StandardChannel(h=(0.3, 0.5, 0.9, 1.1, 0.2, 1.5, 0.7), p_max=(1, 2, 3, 4, 5, 6, 7))
+    tracemalloc.start()
+    try:
+        grid_max_sum_rate(ch, GridSpec(steps_per_axis=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_verify_tolerances():
+    """The closed forms must meet the oracles at these tolerances."""
+    assert (oracle.SUM_RATE_VERIFY_TOL, oracle.JAMMING_VERIFY_TOL) == (1e-9, 1e-5)
+
+
+def test_verify_sum_rate_default_grid(monkeypatch):
+    steps = []
+    real = oracle.grid_max_sum_rate
+    monkeypatch.setattr(oracle, "grid_max_sum_rate",
+                        lambda ch, spec: steps.append(spec.steps_per_axis) or real(ch, spec))
+    for k in (1, 3, 4, 5):
+        ch = StandardChannel(h=(0.5,) * k, p_max=(1.0,) * k)
+        doc = verify_sum_rate(ch, max_sum_rate(ch))
+        assert list(doc) == ["p_star", "sum_rate", "gap"]
+    verify_sum_rate(ch, max_sum_rate(ch), steps=3)
+    assert steps == [11, 11, 6, 6, 3]
+
+
+def test_verify_raises_beyond_tolerance(monkeypatch):
+    ch = StandardChannel(h=(0.1, 0.2), p_max=(10, 10))
+    sol = max_sum_rate(ch)
+    monkeypatch.setattr(oracle, "grid_max_sum_rate",
+                        lambda ch, spec: ((10.0, 0.0), sol.sum_rate + 2e-9))
+    with pytest.raises(InternalError, match=r"sum-rate optimizer .* p_star=\[10.0, 0.0\]"):
+        verify_sum_rate(ch, sol)
+    with pytest.raises(InternalError, match="jamming dispatch and sum-rate oracle"):
+        verify_jamming(ch, solve_jamming(TwoUserChannel.from_standard(ch)[0]), None)
+
+    case_a = StandardChannel(h=(0.4, 1.4), p_max=(10, 10))
+    sol = solve_jamming(TwoUserChannel.from_standard(case_a)[0])
+    monkeypatch.setattr(oracle, "grid_max_jamming",
+                        lambda two, spec, unit: (10.0, 0.5, sol.secrecy_rate - 2e-5))
+    with pytest.raises(InternalError, match=r"jamming solver .* \(p1, p2\)=\(10.0, 0.5\)"):
+        verify_jamming(case_a, sol, lambda p2_max: 11)
+
+
+def test_verify_jamming_picks_the_oracle():
+    """The degenerate NoJam solution came from the sum-rate optimizer and
+    is checked by its oracle, without asking for a jamming grid; every
+    other solution is checked on the jamming axis, in the sorted order."""
+    ch = StandardChannel(h=(0.2, 0.1), p_max=(10, 10))
+    sol = solve_jamming(TwoUserChannel.from_standard(ch)[0])
+    doc = verify_jamming(ch, sol, None)
+    assert doc["kind"] == "sum_rate" and doc["p_star"] == [0.0, 10.0]
+    assert list(doc) == ["kind", "p_star", "rate", "gap"]
+
+    asked = []
+    ch = StandardChannel(h=(1.4, 0.4), p_max=(0.2, 10.0))  # full jamming
+    sol = solve_jamming(TwoUserChannel.from_standard(ch)[0])
+    doc = verify_jamming(ch, sol, lambda p2_max: asked.append(p2_max) or 1)
+    assert asked == [0.2]  # the jammer's cap; at least 2 points are used
+    assert doc["kind"] == "jamming" and doc["powers"] == [10.0, 0.2]
+    assert list(doc) == ["kind", "powers", "rate", "gap"]

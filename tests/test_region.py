@@ -2,19 +2,16 @@ import math
 
 import pytest
 
-from gmacwt import (
-    StandardChannel,
-    ValidationError,
+from gmacwt import StandardChannel, ValidationError, build_region, is_feasible, union_sweep
+from gmacwt import region as region_module
+from gmacwt.region import (
+    InfeasibilityWitness,
+    _vertices,
     awgn_capacity,
-    build_region,
     classify_two_user_shape,
-    is_feasible,
     secrecy_slack,
     subset_rates,
-    union_sweep,
 )
-from gmacwt import region as region_module
-from gmacwt.region import InfeasibilityWitness, _vertices
 
 from helpers import random_box_powers, random_channel, random_feasible_powers, rng
 

@@ -4,33 +4,33 @@ public functions (the enumerator).
 
 Gains spread over [0, 4] with a share within 1e-9 of 1, where a subset's
 slack is nearly 0; powers span 1e-6 to 1e6 (and 0), where sums of very
-different magnitudes meet.
+different magnitudes meet, and for the bound property 1e-300 to 1e300.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gmacwt import (
-    StandardChannel,
-    build_region,
-    is_feasible,
+from gmacwt import StandardChannel, build_region, is_feasible, union_sweep
+from gmacwt.region import (
+    FEASIBILITY_TOL,
+    InfeasibilityWitness,
+    _subset_users,
     secrecy_slack,
     subset_rates,
-    union_sweep,
 )
-from gmacwt.region import FEASIBILITY_TOL, InfeasibilityWitness, _subset_users
 
 GAINS = st.one_of(st.floats(0.0, 4.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9))
 POWERS = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+WIDE_POWERS = st.one_of(POWERS, st.floats(1e-300, 1e300))
 
 
 @st.composite
-def channel_and_powers(draw, min_users=1, max_users=8):
+def channel_and_powers(draw, min_users=1, max_users=8, powers=POWERS):
     """A channel whose caps are the drawn powers, so only the subset
     constraints decide feasibility."""
     k = draw(st.integers(min_users, max_users))
     h = draw(st.lists(GAINS, min_size=k, max_size=k))
-    p = tuple(draw(st.lists(POWERS, min_size=k, max_size=k)))
+    p = tuple(draw(st.lists(powers, min_size=k, max_size=k)))
     unit = draw(st.sampled_from(("bits", "nats")))
     return StandardChannel(h=h, p_max=p, rate_unit=unit), p
 
@@ -109,3 +109,15 @@ def test_union_sweep_rows_equal_build_region(case, steps):
     assert [point for point, _ in rows] == feasible
     for point, region in rows:
         assert region == build_region(point, ch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_and_powers(max_users=6, powers=WIDE_POWERS))
+def test_feasible_region_bounds_are_at_least_minus_the_tolerance(case):
+    """At a feasible point a bound may dip below 0, but only by rounding
+    within the slack tolerance (-1.6e-14 has been seen), never below
+    -FEASIBILITY_TOL, also for powers of extreme magnitude."""
+    ch, p = case
+    region = build_region(p, ch)
+    if region.feasible:
+        assert min(bound for _, bound in region.halfspaces) >= -FEASIBILITY_TOL

@@ -1,13 +1,7 @@
 import pytest
 
-from gmacwt import (
-    StandardChannel,
-    is_feasible,
-    max_sum_rate,
-    prune_bad_users,
-    snr_ratio,
-    sum_secrecy_rate,
-)
+from gmacwt import StandardChannel, is_feasible, max_sum_rate
+from gmacwt.sumrate import prune_bad_users, snr_ratio, sum_secrecy_rate
 
 from helpers import random_box_powers, random_channel, rng
 
