@@ -91,6 +91,30 @@ def _json_doc(doc) -> str:
         raise InternalError(f"non-finite value in the JSON output ({exc})") from None
 
 
+def _region_json(region) -> str:
+    """``_json_doc(region.to_json_dict())``, byte for byte, without the
+    document: with an indent, ``json.dumps`` runs its pure-Python encoder,
+    over a second for the 2^16 - 1 halfspaces of 16 users, so each
+    halfspace is filled into one template instead."""
+    if not all(map(math.isfinite, region.bounds)):
+        raise InternalError("non-finite value in the JSON output (a bound)")
+    items = [""]  # the list items of every subset's text, in bitmask order
+    for k in range(1, region.num_users + 1):
+        item = f",\n        {k}"
+        items += [s + item for s in items]
+    halfspaces = ",\n".join(
+        f'    {{\n      "subset": [{s[1:]}\n      ],\n      "bound": {b!r}\n    }}'
+        for s, b in zip(items[1:], region.bounds))
+    vertices = region.vertices
+    rest = _json_doc({
+        "feasible": region.feasible,
+        "rate_unit": region.rate_unit,
+        "halfspaces": None,
+        "vertices": None if vertices is None else [list(v) for v in vertices],
+    })
+    return rest.replace('"halfspaces": null', f'"halfspaces": [\n{halfspaces}\n  ]', 1)
+
+
 def _load(args):
     ch = load_channel(args.channel)
     if args.unit is not None and args.unit != ch.rate_unit:
@@ -118,7 +142,7 @@ def _cmd_region(args):
     powers = _parse_powers(args.power) if args.power else ch.p_max
     region = build_region(powers, ch)
     if args.format == "json":
-        return _json_doc(region.to_json_dict())
+        return _region_json(region)
     if ch.num_users > 2 or region.vertices is None:
         raise ValidationError(
             "format: CSV vertex output is only available for 1- or 2-user "
@@ -132,8 +156,7 @@ def _cmd_maxsum(args):
     sol = max_sum_rate(ch)
     doc = sol.to_json_dict()
     if args.verify:
-        # --grid-steps 0, like no --grid-steps, asks for the default grid
-        doc["oracle"] = verify_sum_rate(ch, sol, args.grid_steps or None)
+        doc["oracle"] = verify_sum_rate(ch, sol, args.grid_steps)
     return _json_doc(doc)
 
 
@@ -156,13 +179,7 @@ def _cmd_sweep(args):
             "# region sweep: bounds at every feasible grid point "
             "(union data), rate_unit=" + ch.rate_unit,
             file=sys.stderr)
-        rows = []
-        for (p1, p2), region in regions:
-            rows.append((
-                p1, p2,
-                region.halfspaces[0][1],
-                region.halfspaces[1][1],
-                region.halfspaces[2][1]))
+        rows = [(p1, p2, *region.bounds) for (p1, p2), region in regions]
         return _csv("P1,P2,b1,b2,b12", rows)
 
     two, _ = TwoUserChannel.from_standard(ch)

@@ -79,15 +79,17 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     for start in range(0, size, block):
         rest = np.arange(start, min(start + block, size))  # flat grid indices
         columns = [None] * ch.num_users
+        hp = [None] * ch.num_users
         s_p = s_hp = 0.0
         for k in reversed(range(ch.num_users)):  # as the subset table adds
             rest, index = np.divmod(rest, shape[k])  # the index on axis k
             columns[k] = axes[k][index]
+            hp[k] = ch.h[k] * columns[k]
             s_p = s_p + columns[k]
-            s_hp = s_hp + ch.h[k] * columns[k]
+            s_hp = s_hp + hp[k]
         # the full set's bound; its complement is empty, so no interference
         rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
-        rate[_infeasible(columns, ch.h)] = -math.inf
+        rate[_infeasible(columns, hp, ch.h)] = -math.inf
         i = int(rate.argmax())  # first max = lexicographically smallest
         if rate[i] > best_rate:
             best, best_rate = start + i, rate[i]

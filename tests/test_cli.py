@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gmacwt.cli as cli
-from gmacwt import ValidationError, oracle, region
+from gmacwt import RateRegion, ValidationError, build_region, channel_from_json, oracle, region
 
 RAW_DOC = {
     "users": [
@@ -100,6 +100,35 @@ def test_region_json(tmp_path, capsys):
     assert len(doc["vertices"]) == 3
 
 
+@pytest.mark.parametrize("users", [
+    [(0.3, 2.0)],                   # one user, two vertices
+    [(1.5, 2.0)],                   # one user, infeasible: no vertices
+    [(0.1, 10.0), (0.2, 10.0)],
+    [(2.0, 5.0), (2.0, 5.0)],       # infeasible: negative bounds, no vertices
+    [(0.1, 1.0), (0.5, 2.0), (0.9, 0.5)],
+    [(0.1, 1.0), (1.5, 2.0), (3.0, 0.5)],
+    [(0.05 * (k + 1), 0.5 + k) for k in range(12)],
+    [(0.3 * (k + 1), 0.5 + k) for k in range(12)],
+])
+@pytest.mark.parametrize("unit", ["bits", "nats"])
+def test_region_json_equals_the_generic_encoder(tmp_path, capsys, users, unit):
+    doc = {"standard": True, "rate_unit": unit,
+           "users": [{"h": h, "power_max": p} for h, p in users]}
+    ch = channel_from_json(doc)
+    code, out, err = run(capsys, "region", write(tmp_path, doc))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(build_region(ch.p_max, ch).to_json_dict(), indent=2) + "\n"
+
+
+def test_non_finite_region_bound_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_region",
+                        lambda powers, ch: RateRegion((1.0, math.nan, 2.0), True, "bits"))
+    code, out, err = run(capsys, "region", write(tmp_path, GOOD_DOC))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
 def test_region_defaults_to_full_power(tmp_path, capsys):
     _, explicit, _ = run(capsys, "region", write(tmp_path, GOOD_DOC),
                          "--power", "10,10")
@@ -149,6 +178,15 @@ def test_maxsum_verify_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "maxsum", write(tmp_path, GOOD_DOC), "--verify")
     assert code == 2
     assert "internal error:" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "1", "-1"])
+def test_maxsum_verify_grid_steps_below_2_exits_1(tmp_path, capsys, steps):
+    code, out, err = run(capsys, "maxsum", write(tmp_path, GOOD_DOC), "--verify",
+                         "--grid-steps", steps)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: steps_per_axis: must be >= 2 (got {steps})\n"
 
 
 def test_jam_golden(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property tests: the gain-sorted prefix check behind is_feasible and the
 subset table behind build_region and union_sweep, against the per-subset
-public functions (the enumerator).
+public functions (the enumerator), and RateRegion's bitmask-ordered
+bounds against the ``(users, bound)`` pairs they stand for.
 
 Gains spread over [0, 4] with a share within 1e-9 of 1, where a subset's
 slack is nearly 0; powers span 1e-6 to 1e6 (and 0), where sums of very
@@ -10,11 +11,13 @@ different magnitudes meet, and for the bound property 1e-300 to 1e300.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gmacwt import StandardChannel, build_region, is_feasible, union_sweep
+from gmacwt import RateRegion, StandardChannel, build_region, is_feasible, union_sweep
 from gmacwt.region import (
+    CONTAINS_TOL,
     FEASIBILITY_TOL,
     InfeasibilityWitness,
     _subset_users,
+    _vertices,
     secrecy_slack,
     subset_rates,
 )
@@ -121,3 +124,54 @@ def test_feasible_region_bounds_are_at_least_minus_the_tolerance(case):
     region = build_region(p, ch)
     if region.feasible:
         assert min(bound for _, bound in region.halfspaces) >= -FEASIBILITY_TOL
+
+
+def _add_in_order(terms):
+    """Left-to-right float addition, as ``RateRegion.contains`` adds (the
+    builtin ``sum`` compensates its rounding from Python 3.12 on)."""
+    total = 0.0
+    for x in terms:
+        total += x
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_and_powers(), st.data())
+def test_region_bounds_stand_for_their_halfspace_pairs(case, data):
+    """Every view of a region equals the one built from the pairs
+    ``zip(_subset_users(K)[1:], bounds)``, at feasible and infeasible
+    powers (where bounds can be negative)."""
+    ch, p = case
+    region = build_region(p, ch)
+    pairs = tuple(zip(_subset_users(ch.num_users)[1:], region.bounds))
+    assert len(pairs) == len(region.bounds) == (1 << ch.num_users) - 1
+    assert region.num_users == ch.num_users
+    assert region.halfspaces == pairs
+    for users, bound in pairs:
+        assert region.bound(users) == bound
+
+    rates = data.draw(st.lists(st.floats(0.0, 2.0), min_size=ch.num_users,
+                               max_size=ch.num_users))
+    for r in (rates, [0.0] * ch.num_users, *(region.vertices or ())):  # vertices: on the boundary
+        assert region.contains(r) is all(
+            _add_in_order(r[k] for k in users) <= bound + CONTAINS_TOL
+            for users, bound in pairs)
+
+    twin = RateRegion(tuple(b for _, b in pairs), region.feasible, ch.rate_unit)
+    assert twin == region and hash(twin) == hash(region)
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    moved = list(region.bounds)
+    moved[i] += 1.0
+    assert RateRegion(tuple(moved), region.feasible, ch.rate_unit) != region
+
+    vertices = _vertices([b for _, b in pairs])
+    doc = region.to_json_dict()
+    assert doc == {
+        "feasible": region.feasible,
+        "rate_unit": ch.rate_unit,
+        "halfspaces": [{"subset": [k + 1 for k in users], "bound": bound}
+                       for users, bound in pairs],
+        "vertices": None if vertices is None else [list(v) for v in vertices],
+    }
+    doc["halfspaces"][0]["subset"].append(0)  # each call builds fresh lists
+    assert region.to_json_dict()["halfspaces"][0]["subset"] == [1]
