@@ -7,50 +7,35 @@ importable from their modules (``gmacwt.region``, ``gmacwt.jamming``,
 ``gmacwt.sumrate``, ``gmacwt.channel``).
 """
 
-from .channel import (
-    ChannelParams,
-    StandardChannel,
-    channel_from_json,
-    channel_to_json,
-    load_channel,
-    standardize,
-)
-from .errors import InternalError, ValidationError
-from .jamming import JammingSolution, TwoUserChannel, jam_objective, solve_jamming
-from .oracle import (
-    GridSpec,
-    grid_max_jamming,
-    grid_max_sum_rate,
-    verify_jamming,
-    verify_sum_rate,
-)
-from .region import RateRegion, build_region, is_feasible, union_sweep
-from .sumrate import SumRateSolution, max_sum_rate
+#: The module that defines each public name.  A name's module is imported
+#: on first access (PEP 562), so ``import gmacwt.cli`` loads only what the
+#: command runs.
+_HOMES = {
+    **dict.fromkeys(("ChannelParams", "StandardChannel", "channel_from_json",
+                     "channel_to_json", "load_channel", "standardize"), "channel"),
+    **dict.fromkeys(("InternalError", "ValidationError"), "errors"),
+    **dict.fromkeys(("JammingSolution", "TwoUserChannel", "jam_objective",
+                     "solve_jamming"), "jamming"),
+    **dict.fromkeys(("GridSpec", "grid_max_jamming", "grid_max_sum_rate",
+                     "verify_jamming", "verify_sum_rate"), "oracle"),
+    **dict.fromkeys(("RateRegion", "build_region", "is_feasible", "union_sweep"), "region"),
+    **dict.fromkeys(("SumRateSolution", "max_sum_rate"), "sumrate"),
+}
 
-__all__ = [
-    "ChannelParams",
-    "GridSpec",
-    "InternalError",
-    "JammingSolution",
-    "RateRegion",
-    "StandardChannel",
-    "SumRateSolution",
-    "TwoUserChannel",
-    "ValidationError",
-    "build_region",
-    "channel_from_json",
-    "channel_to_json",
-    "grid_max_jamming",
-    "grid_max_sum_rate",
-    "is_feasible",
-    "jam_objective",
-    "load_channel",
-    "max_sum_rate",
-    "solve_jamming",
-    "standardize",
-    "union_sweep",
-    "verify_jamming",
-    "verify_sum_rate",
-]
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 
 from .errors import ValidationError
+from .record import Record, setfield
 
 #: A region lists all 2^K - 1 user subsets.
 MAX_USERS = 16
@@ -64,8 +64,7 @@ def _as_float_tuple(name, values, positive=False):
     return tuple(_as_float(f"{name}[{i}]", v, positive) for i, v in enumerate(values))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(Record):
     """Channel in raw (non-standard) form.
 
     Attributes
@@ -80,18 +79,19 @@ class ChannelParams:
         Per-user transmit power limits, >= 0.
     """
 
-    gains_to_receiver: tuple[float, ...]
-    gains_to_eavesdropper: tuple[float, ...]
-    noise_var_receiver: float
-    noise_var_eavesdropper: float
-    power_limits: tuple[float, ...]
+    __slots__ = ("gains_to_receiver", "gains_to_eavesdropper", "noise_var_receiver",
+                 "noise_var_eavesdropper", "power_limits")
 
-    def __post_init__(self):
-        for name in ("gains_to_receiver", "gains_to_eavesdropper", "power_limits"):
-            object.__setattr__(self, name, _as_float_tuple(
-                name, getattr(self, name), positive=name == "gains_to_receiver"))
-        for name in ("noise_var_receiver", "noise_var_eavesdropper"):
-            object.__setattr__(self, name, _as_float(name, getattr(self, name), positive=True))
+    def __init__(self, gains_to_receiver, gains_to_eavesdropper, noise_var_receiver,
+                 noise_var_eavesdropper, power_limits):
+        for name, value in (("gains_to_receiver", gains_to_receiver),
+                            ("gains_to_eavesdropper", gains_to_eavesdropper),
+                            ("power_limits", power_limits)):
+            setfield(self, name, _as_float_tuple(
+                name, value, positive=name == "gains_to_receiver"))
+        for name, value in (("noise_var_receiver", noise_var_receiver),
+                            ("noise_var_eavesdropper", noise_var_eavesdropper)):
+            setfield(self, name, _as_float(name, value, positive=True))
 
         k = len(self.gains_to_receiver)
         _check_user_count(k)
@@ -106,8 +106,7 @@ class ChannelParams:
         return len(self.gains_to_receiver)
 
 
-@dataclass(frozen=True)
-class StandardChannel:
+class StandardChannel(Record):
     """Channel in standard form: unit receiver gains and unit noise.
 
     Attributes
@@ -121,13 +120,12 @@ class StandardChannel:
         base used by every downstream rate computation.
     """
 
-    h: tuple[float, ...]
-    p_max: tuple[float, ...]
-    rate_unit: str = "bits"
+    __slots__ = ("h", "p_max", "rate_unit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", _as_float_tuple("h", self.h))
-        object.__setattr__(self, "p_max", _as_float_tuple("p_max", self.p_max))
+    def __init__(self, h, p_max, rate_unit="bits"):
+        setfield(self, "h", _as_float_tuple("h", h))
+        setfield(self, "p_max", _as_float_tuple("p_max", p_max))
+        setfield(self, "rate_unit", rate_unit)
         _check_user_count(len(self.h))
         if len(self.p_max) != len(self.h):
             raise ValidationError(
@@ -170,10 +168,10 @@ def sort_by_gain(ch: StandardChannel) -> tuple[StandardChannel, tuple[int, ...]]
     Ties keep the original order.
     """
     perm = tuple(sorted(range(ch.num_users), key=lambda k: (ch.h[k], k)))
-    ordered = replace(
-        ch,
+    ordered = StandardChannel(
         h=tuple(ch.h[k] for k in perm),
-        p_max=tuple(ch.p_max[k] for k in perm))
+        p_max=tuple(ch.p_max[k] for k in perm),
+        rate_unit=ch.rate_unit)
     return ordered, perm
 
 

@@ -14,6 +14,10 @@ All JSON output is deterministic (two-space indent, insertion order) and
 floats use their shortest round-trip representation.  Exit status 1 marks
 invalid input, 2 an internal consistency failure (e.g. a ``--verify``
 cross-check disagreeing beyond tolerance).
+
+Each command imports the modules it runs: ``standardize``, ``feasible``
+and ``region`` never load ``sumrate``, ``jamming`` or ``oracle``, and
+``maxsum`` without ``--verify`` loads only ``sumrate``.
 """
 
 from __future__ import annotations
@@ -22,14 +26,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
-from .channel import channel_to_json, load_channel
+from .channel import StandardChannel, channel_to_json, load_channel
 from .errors import InternalError, ValidationError
-from .jamming import TwoUserChannel, jam_objective, solve_jamming
-from .oracle import verify_jamming, verify_sum_rate
-from .region import MAX_GRID_POINTS, build_region, is_feasible, union_sweep
-from .sumrate import max_sum_rate
+from .region import MAX_GRID_POINTS, _check_grid, build_region, is_feasible, union_sweep
 
 
 def _parse_powers(text):
@@ -118,7 +118,7 @@ def _region_json(region) -> str:
 def _load(args):
     ch = load_channel(args.channel)
     if args.unit is not None and args.unit != ch.rate_unit:
-        ch = replace(ch, rate_unit=args.unit)
+        ch = StandardChannel(ch.h, ch.p_max, args.unit)
     return ch
 
 
@@ -152,20 +152,26 @@ def _cmd_region(args):
 
 
 def _cmd_maxsum(args):
+    from .sumrate import max_sum_rate
     ch = _load(args)
     sol = max_sum_rate(ch)
     doc = sol.to_json_dict()
     if args.verify:
+        from .oracle import verify_sum_rate
+        if args.grid_steps is not None:  # refused in the flag's name, not GridSpec's
+            _check_grid("grid_steps", args.grid_steps, ch.num_users)
         doc["oracle"] = verify_sum_rate(ch, sol, args.grid_steps)
     return _json_doc(doc)
 
 
 def _cmd_jam(args):
+    from .jamming import TwoUserChannel, solve_jamming
     ch = _load(args)
     two, perm = TwoUserChannel.from_standard(ch)
     sol = solve_jamming(two, ch.rate_unit)
     doc = sol.to_json_dict(permutation=perm)
     if args.verify:
+        from .oracle import verify_jamming
         doc["oracle"] = verify_jamming(
             ch, sol, lambda p2_max: int(_p2_ratio(args, p2_max, axes=2)) + 1)
     return _json_doc(doc)
@@ -182,6 +188,7 @@ def _cmd_sweep(args):
         rows = [(p1, p2, *region.bounds) for (p1, p2), region in regions]
         return _csv("P1,P2,b1,b2,b12", rows)
 
+    from .jamming import TwoUserChannel, jam_objective
     two, _ = TwoUserChannel.from_standard(ch)
     p1 = two.p1_max if args.p1 is None else _parse_float("p1", args.p1)
     if not (math.isfinite(p1) and p1 >= 0):

@@ -24,10 +24,10 @@ closed-form optima over the box ``0 <= P_k <= p_k_max``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channel import StandardChannel, _as_float
 from .errors import ValidationError
+from .record import Record, setfield
 from .region import awgn_capacity
 from .sumrate import max_sum_rate
 
@@ -44,18 +44,14 @@ CASE_DEGENERATE = "Degenerate"
 EQUAL_GAIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TwoUserChannel:
+class TwoUserChannel(Record):
     """Two users with ``h1 <= h2``; user 2 is the candidate jammer."""
 
-    h1: float
-    h2: float
-    p1_max: float
-    p2_max: float
+    __slots__ = ("h1", "h2", "p1_max", "p2_max")
 
-    def __post_init__(self):
-        for name in ("h1", "h2", "p1_max", "p2_max"):
-            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
+    def __init__(self, h1, h2, p1_max, p2_max):
+        for name, value in zip(self.__slots__, (h1, h2, p1_max, p2_max)):
+            setfield(self, name, _as_float(name, value))
         if self.h1 > self.h2:
             raise ValidationError(
                 f"h1: must be <= h2 (got h1={self.h1}, h2={self.h2}); "
@@ -78,8 +74,7 @@ class TwoUserChannel:
             p1_max=ch.p_max[perm[0]], p2_max=ch.p_max[perm[1]]), perm
 
 
-@dataclass(frozen=True)
-class JammingSolution:
+class JammingSolution(Record):
     """Solution of the two-user jamming problem.
 
     ``branch`` records which piece of the closed form applied; ``case_tag``
@@ -88,12 +83,15 @@ class JammingSolution:
     Powers follow the ``h1 <= h2`` labeling of the input channel.
     """
 
-    p1: float
-    p2: float
-    secrecy_rate: float
-    branch: str
-    case_tag: str
-    rate_unit: str
+    __slots__ = ("p1", "p2", "secrecy_rate", "branch", "case_tag", "rate_unit")
+
+    def __init__(self, p1, p2, secrecy_rate, branch, case_tag, rate_unit):
+        setfield(self, "p1", p1)
+        setfield(self, "p2", p2)
+        setfield(self, "secrecy_rate", secrecy_rate)
+        setfield(self, "branch", branch)
+        setfield(self, "case_tag", case_tag)
+        setfield(self, "rate_unit", rate_unit)
 
     def to_json_dict(self, permutation=None) -> dict:
         doc = {

@@ -12,13 +12,13 @@ lexicographically smallest power vector so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channel import StandardChannel
 from .errors import InternalError, ValidationError
 from .jamming import (
     BRANCH_NO_JAM, CASE_DEGENERATE, JammingSolution, TwoUserChannel)
-from .region import MAX_GRID_POINTS, _capacities, _grid_axis, _infeasible
+from .record import Record, setfield
+from .region import MAX_GRID_POINTS, _capacities, _check_grid, _grid_axis, _infeasible
 from .sumrate import SumRateSolution
 
 #: The closed forms must match the oracles this well: the sum rate (which
@@ -28,8 +28,7 @@ SUM_RATE_VERIFY_TOL = 1e-9
 JAMMING_VERIFY_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Grid resolution for the brute-force oracles.
 
     Each axis is ``{0, step, ..., p_max}`` with ``step = p_max /
@@ -37,12 +36,13 @@ class GridSpec:
     and last are exactly 0 and ``p_max`` (the grid of ``union_sweep``).
     """
 
-    steps_per_axis: int = 11
+    __slots__ = ("steps_per_axis",)
 
-    def __post_init__(self):
-        if self.steps_per_axis < 2:
+    def __init__(self, steps_per_axis=11):
+        if steps_per_axis < 2:
             raise ValidationError(
-                f"steps_per_axis: must be >= 2 (got {self.steps_per_axis})")
+                f"steps_per_axis: must be >= 2 (got {steps_per_axis})")
+        setfield(self, "steps_per_axis", steps_per_axis)
 
 
 #: Grid points times users evaluated at once; bounds the oracle's memory
@@ -64,11 +64,7 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
         The maximizing grid point (lexicographically smallest on ties)
         and its sum secrecy rate.
     """
-    total = spec.steps_per_axis ** ch.num_users
-    if total > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"steps_per_axis: grid would have {total} points "
-            f"(cap {MAX_GRID_POINTS})")
+    _check_grid("steps_per_axis", spec.steps_per_axis, ch.num_users)
 
     import numpy as np
     axes = [_grid_axis(p, spec.steps_per_axis) for p in ch.p_max]
@@ -106,7 +102,9 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     constants ``a``, ``b``, which is monotone in ``p1`` (its derivative
     has the constant sign of ``a - b``), so the maximum over ``p1`` is at
     an endpoint.  The reported rate is clamped at 0 (transmitting nothing
-    always achieves 0).
+    always achieves 0).  At ``p1 = 0`` the objective is 0 for every
+    ``p2``, so only ``p1 = p1_max`` is evaluated, and it replaces the
+    silent point ``(0, 0)`` only where its rate is strictly positive.
 
     Returns
     -------
@@ -117,17 +115,15 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
             f"steps_per_axis: grid would have {2 * spec.steps_per_axis} "
             f"points (cap {MAX_GRID_POINTS})")
 
-    import numpy as np
-    p2_axis = _grid_axis(ch.p2_max, spec.steps_per_axis)
-    best = (-math.inf, 0.0, 0.0)
-    for p1 in (0.0, ch.p1_max) if ch.p1_max > 0 else (0.0,):
+    p1 = ch.p1_max
+    if p1 > 0:
+        p2_axis = _grid_axis(ch.p2_max, spec.steps_per_axis)
         values = (_capacities(p1 / (1.0 + p2_axis), unit)
                   - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2_axis), unit))
-        values = np.maximum(values, 0.0)
         i = int(values.argmax())  # first max = smallest p2 on ties
-        if values[i] > best[0]:
-            best = (float(values[i]), float(p1), float(p2_axis[i]))
-    return best[1], best[2], best[0]
+        if values[i] > 0.0:
+            return p1, float(p2_axis[i]), float(values[i])
+    return 0.0, 0.0, 0.0
 
 
 def _gap(closed_form, oracle, tol, who, found=""):

@@ -21,12 +21,12 @@ the closed forms (``sumrate``, ``jamming``) and the CLI start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .channel import StandardChannel
 from .errors import ValidationError
+from .record import Record, setfield
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,6 +48,17 @@ MAX_GRID_POINTS = 10_000_000
 #: per feasible point: about 0.53 KB each at peak, measured as 219 MB of
 #: peak RSS for the 360,000 rows of an all-feasible 600-step sweep.
 MAX_SWEEP_POINTS = 1_000_000
+
+
+def _check_grid(name, steps, axes, cap=MAX_GRID_POINTS):
+    """Refuse a grid of ``steps`` points on each of ``axes`` axes if
+    ``steps < 2`` or the grid holds more than ``cap`` points; the message
+    names the caller's argument ``name``."""
+    if steps < 2:
+        raise ValidationError(f"{name}: must be >= 2 (got {steps})")
+    if steps ** axes > cap:
+        raise ValidationError(
+            f"{name}: grid would have {steps ** axes} points (cap {cap})")
 
 
 def awgn_capacity(snr: float, unit: str = "bits") -> float:
@@ -187,8 +198,7 @@ def _scalar_sums(subset, powers, ch: StandardChannel):
     return sums
 
 
-@dataclass(frozen=True)
-class SubsetRates:
+class SubsetRates(Record):
     """Receiver- and eavesdropper-side capacities of one user subset.
 
     ``main``/``tap`` assume the complement's signals have been removed;
@@ -196,10 +206,13 @@ class SubsetRates:
     full user set the two pairs coincide.
     """
 
-    main: float
-    tap: float
-    main_intf: float
-    tap_intf: float
+    __slots__ = ("main", "tap", "main_intf", "tap_intf")
+
+    def __init__(self, main, tap, main_intf, tap_intf):
+        setfield(self, "main", main)
+        setfield(self, "tap", tap)
+        setfield(self, "main_intf", main_intf)
+        setfield(self, "tap_intf", tap_intf)
 
 
 def subset_rates(subset, powers, ch: StandardChannel) -> SubsetRates:
@@ -224,12 +237,15 @@ def secrecy_slack(subset, powers, ch: StandardChannel) -> float:
     return _slack(s_p, s_hp, c_hp)
 
 
-@dataclass(frozen=True)
-class InfeasibilityWitness:
-    """First violated constraint: a power bound or a subset constraint."""
+class InfeasibilityWitness(Record):
+    """First violated constraint: a power bound or a subset constraint.
+    ``kind`` is "bound" or "subset"; ``users`` holds 0-based indices."""
 
-    kind: str                # "bound" or "subset"
-    users: tuple[int, ...]   # 0-based user indices
+    __slots__ = ("kind", "users")
+
+    def __init__(self, kind, users):
+        setfield(self, "kind", kind)
+        setfield(self, "users", users)
 
 
 def _witness(p, ch: StandardChannel) -> InfeasibilityWitness | None:
@@ -274,8 +290,7 @@ def is_feasible(powers, ch: StandardChannel):
     return witness is None, witness
 
 
-@dataclass(frozen=True, slots=True)
-class RateRegion:
+class RateRegion(Record):
     """Halfspace representation of the achievable region at fixed powers.
 
     One halfspace ``sum(R_k, k in S) <= bound`` per nonempty subset ``S``:
@@ -285,9 +300,12 @@ class RateRegion:
     set; if they do, every bound is nonnegative.
     """
 
-    bounds: tuple[float, ...]
-    feasible: bool
-    rate_unit: str
+    __slots__ = ("bounds", "feasible", "rate_unit")
+
+    def __init__(self, bounds, feasible, rate_unit):
+        setfield(self, "bounds", bounds)
+        setfield(self, "feasible", feasible)
+        setfield(self, "rate_unit", rate_unit)
 
     @property
     def num_users(self) -> int:
@@ -379,10 +397,23 @@ def classify_two_user_shape(b1: float, b2: float, b12: float) -> str:
 
 
 def _regions(table, feasible, unit) -> list[RateRegion]:
-    """One ``RateRegion`` per point (column) of a subset table."""
+    """One ``RateRegion`` per point (column) of a subset table.
+
+    The regions are filled through their slots rather than built by the
+    constructor, which takes twice as long; ``union_sweep`` builds one per
+    feasible grid point.
+    """
     s_p, s_hp, c_hp = table
-    return [RateRegion(tuple(row), feasible, unit)
-            for row in _bounds(s_p[1:], s_hp[1:], c_hp[1:], unit).T.tolist()]
+    new, bounds = RateRegion.__new__, RateRegion.bounds.__set__
+    feasible_, unit_ = RateRegion.feasible.__set__, RateRegion.rate_unit.__set__
+    regions = []
+    for row in _bounds(s_p[1:], s_hp[1:], c_hp[1:], unit).T.tolist():
+        region = new(RateRegion)
+        bounds(region, tuple(row))
+        feasible_(region, feasible)
+        unit_(region, unit)
+        regions.append(region)
+    return regions
 
 
 def build_region(powers, ch: StandardChannel) -> RateRegion:
@@ -425,12 +456,7 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
     if ch.num_users != 2:
         raise ValidationError(
             f"users: region sweep requires exactly 2 users (got {ch.num_users})")
-    if grid_steps < 2:
-        raise ValidationError(f"grid_steps: must be >= 2 (got {grid_steps})")
-    if grid_steps ** 2 > MAX_SWEEP_POINTS:
-        raise ValidationError(
-            f"grid_steps: grid would have {grid_steps ** 2} points "
-            f"(cap {MAX_SWEEP_POINTS})")
+    _check_grid("grid_steps", grid_steps, 2, MAX_SWEEP_POINTS)
     points = _grid_points([_grid_axis(p, grid_steps) for p in ch.p_max])
     columns = points.T
     points = points[~_infeasible(columns, [g * x for g, x in zip(ch.h, columns)], ch.h)]

@@ -11,10 +11,9 @@ the resulting ratio.  Users with ``h_k >= 1`` never transmit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .channel import StandardChannel, sort_by_gain
 from .errors import InternalError
+from .record import Record, setfield
 from .region import _checked_powers, awgn_capacity
 
 #: Gains within this of 1 count as >= 1 and are forced silent.
@@ -57,8 +56,7 @@ def sum_secrecy_rate(powers, ch: StandardChannel) -> float:
             - awgn_capacity(sum(h * v for h, v in zip(ch.h, p)), unit))
 
 
-@dataclass(frozen=True)
-class SumRateSolution:
+class SumRateSolution(Record):
     """Sum-rate-optimal power allocation.
 
     Attributes
@@ -72,13 +70,18 @@ class SumRateSolution:
         Achieved sum secrecy rate (in ``rate_unit``).
     snr_ratio : float
         SNR ratio at the optimum; <= 1 whenever someone transmits.
+    rate_unit : str
+        "bits" or "nats".
     """
 
-    powers: tuple[float, ...]
-    limiting_user: int
-    sum_rate: float
-    snr_ratio: float
-    rate_unit: str
+    __slots__ = ("powers", "limiting_user", "sum_rate", "snr_ratio", "rate_unit")
+
+    def __init__(self, powers, limiting_user, sum_rate, snr_ratio, rate_unit):
+        setfield(self, "powers", powers)
+        setfield(self, "limiting_user", limiting_user)
+        setfield(self, "sum_rate", sum_rate)
+        setfield(self, "snr_ratio", snr_ratio)
+        setfield(self, "rate_unit", rate_unit)
 
     def to_json_dict(self) -> dict:
         return {

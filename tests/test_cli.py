@@ -186,7 +186,15 @@ def test_maxsum_verify_grid_steps_below_2_exits_1(tmp_path, capsys, steps):
                          "--grid-steps", steps)
     assert code == 1
     assert out == ""
-    assert err == f"error: steps_per_axis: must be >= 2 (got {steps})\n"
+    assert err == f"error: grid_steps: must be >= 2 (got {steps})\n"
+
+
+def test_maxsum_verify_oversized_grid_exits_1(tmp_path, capsys):
+    code, out, err = run(capsys, "maxsum", write(tmp_path, GOOD_DOC), "--verify",
+                         "--grid-steps", "3163")
+    assert code == 1
+    assert out == ""
+    assert err == "error: grid_steps: grid would have 10004569 points (cap 10000000)\n"
 
 
 def test_jam_golden(tmp_path, capsys):
@@ -456,14 +464,21 @@ def main(*argv):
         code = cli.main(list(argv))
     return code, out.getvalue()
 
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
 case_a, good, bad, infeasible = sys.argv[1:]
-seen = {"import": "numpy" in sys.modules}
-codes = [main("standardize", case_a)[0], main("maxsum", case_a)[0],
-         main("jam", case_a)[0], main("sweep", case_a, "--kind", "jam")[0],
-         main("maxsum", bad)[0]]
+seen = {"import": loaded("numpy", "dataclasses", "inspect"),
+        "gmacwt.region": "gmacwt.region" in sys.modules}
+codes = [main("standardize", case_a)[0]]
 feasible = [main("feasible", good, "--power", "10,10"),
             main("feasible", infeasible, "--power", "1,1")]
-seen["closed_form"] = "numpy" in sys.modules
+seen["standardize_feasible"] = loaded("gmacwt.sumrate", "gmacwt.jamming", "gmacwt.oracle")
+codes.append(main("maxsum", case_a)[0])
+seen["maxsum"] = loaded("gmacwt.sumrate", "gmacwt.jamming", "gmacwt.oracle")
+codes += [main("jam", case_a)[0], main("sweep", case_a, "--kind", "jam")[0],
+          main("maxsum", bad)[0]]
+seen["closed_form"] = loaded("numpy", "dataclasses", "inspect")
 codes.append(main("jam", case_a, "--verify")[0])
 seen["verify"] = "numpy" in sys.modules
 seen["numpy.ma"] = "numpy.ma" in sys.modules
@@ -474,7 +489,9 @@ print(json.dumps({"seen": seen, "codes": codes, "feasible": feasible}))
 def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     """numpy loads only where an array is built: never on import, nor for
     standardize, feasible, maxsum, jam, the jamming sweep or a rejected
-    document."""
+    document.  Neither does ``dataclasses`` (nor ``inspect``, which it
+    pulls in), and each command loads only the modules it runs, except
+    that ``gmacwt.region`` loads with the CLI."""
     paths = [write(tmp_path, CASE_A_DOC, "a.json"), write(tmp_path, GOOD_DOC, "g.json"),
              write(tmp_path, {"standard": True, "users": []}, "bad.json"),
              write(tmp_path, BAD_DOC, "infeasible.json")]
@@ -483,8 +500,9 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
         [sys.executable, "-c", _IMPORT_PROBE, *paths], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     report = json.loads(proc.stdout)
-    assert report["seen"] == {"import": False, "closed_form": False,
-                              "verify": True, "numpy.ma": False}
+    assert report["seen"] == {"import": [], "gmacwt.region": True,
+                              "standardize_feasible": [], "maxsum": ["gmacwt.sumrate"],
+                              "closed_form": [], "verify": True, "numpy.ma": False}
     assert report["codes"] == [0, 0, 0, 0, 1, 0]
     expected = [run(capsys, "feasible", paths[1], "--power", "10,10")[:2],
                 run(capsys, "feasible", paths[3], "--power", "1,1")[:2]]
