@@ -47,20 +47,20 @@ def _parse_float(name, text):
         raise ValidationError(f"{name}: expected a number (got {text!r})") from None
 
 
-def _p2_ratio(args, p2_max, axes=1):
+def _p2_ratio(args, p2_max):
     """``p2_max / --p2-step``, the jamming-power grid's step count before
     rounding, once the step is finite and > 0 and the grid is under the
-    cap.  The grid holds ``axes`` points per jamming power: 1 for the
-    jamming sweep, 2 for the jamming oracle (p1 = 0 and p1 = p1_max)."""
+    cap.  The jamming sweep and the jamming oracle both evaluate one
+    point per jamming power."""
     step = args.p2_step
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"p2-step: must be finite and > 0 (got {step})")
 
     def too_many(s):
-        return axes * (p2_max / s + 1) > MAX_GRID_POINTS
+        return p2_max / s + 1 > MAX_GRID_POINTS
 
     if too_many(step):
-        fits = p2_max / (MAX_GRID_POINTS // axes - 1)
+        fits = p2_max / (MAX_GRID_POINTS - 1)
         while too_many(fits):
             fits = math.nextafter(fits, math.inf)
         while not too_many(math.nextafter(fits, 0.0)):
@@ -173,7 +173,7 @@ def _cmd_jam(args):
     if args.verify:
         from .oracle import verify_jamming
         doc["oracle"] = verify_jamming(
-            ch, sol, lambda p2_max: int(_p2_ratio(args, p2_max, axes=2)) + 1)
+            ch, sol, lambda p2_max: int(_p2_ratio(args, p2_max)) + 1)
     return _json_doc(doc)
 
 

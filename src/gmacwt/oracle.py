@@ -12,13 +12,14 @@ lexicographically smallest power vector so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 
 from .channel import StandardChannel
 from .errors import InternalError, ValidationError
 from .jamming import (
     BRANCH_NO_JAM, CASE_DEGENERATE, JammingSolution, TwoUserChannel)
 from .record import Record, setfield
-from .region import MAX_GRID_POINTS, _capacities, _check_grid, _grid_axis, _infeasible
+from .region import _capacities, _check_grid, _grid_axis, _infeasible
 from .sumrate import SumRateSolution
 
 #: The closed forms must match the oracles this well: the sum rate (which
@@ -93,6 +94,31 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     return tuple(float(axis[i]) for axis, i in zip(axes, index)), float(best_rate)
 
 
+def _axis_blocks(p_max, steps, size):
+    """``_grid_axis(p_max, steps)`` in consecutive slices of at most
+    ``size`` points.
+
+    Each slice is built from its indices as ``np.linspace`` builds them,
+    ``i * step`` with the last point exactly ``p_max``.  When the step is
+    below the smallest normal float (``p_max`` is 0 or tiny), rounding
+    can repeat points, so the whole axis is built and deduplicated.
+    """
+    import numpy as np
+    step = p_max / (steps - 1)
+    if not step >= sys.float_info.min:
+        axis = _grid_axis(p_max, steps)
+        yield from (axis[i:i + size] for i in range(0, len(axis), size))
+        return
+    for start in range(0, steps, size):
+        block = np.arange(start, min(start + size, steps), dtype=float)
+        if start + size < steps:
+            block *= step
+        else:  # the last point is p_max itself; (steps - 1) * step may overflow
+            block[:-1] *= step
+            block[-1] = p_max
+        yield block
+
+
 def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     """Exhaustive maximization of the jamming objective over the box.
 
@@ -106,24 +132,28 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     ``p2``, so only ``p1 = p1_max`` is evaluated, and it replaces the
     silent point ``(0, 0)`` only where its rate is strictly positive.
 
+    That is one evaluated point per jamming power, so ``steps_per_axis``
+    itself is held to ``MAX_GRID_POINTS``.  The axis is evaluated in
+    slices of ``_BLOCK_ENTRIES`` points, so memory does not grow with it;
+    a slice's best point replaces the best so far only if strictly
+    greater, which keeps the first (smallest ``p2``) maximum.
+
     Returns
     -------
     (p1, p2, rate) : (float, float, float)
     """
-    if 2 * spec.steps_per_axis > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"steps_per_axis: grid would have {2 * spec.steps_per_axis} "
-            f"points (cap {MAX_GRID_POINTS})")
+    _check_grid("steps_per_axis", spec.steps_per_axis, 1)
 
     p1 = ch.p1_max
+    best = (0.0, 0.0, 0.0)
     if p1 > 0:
-        p2_axis = _grid_axis(ch.p2_max, spec.steps_per_axis)
-        values = (_capacities(p1 / (1.0 + p2_axis), unit)
-                  - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2_axis), unit))
-        i = int(values.argmax())  # first max = smallest p2 on ties
-        if values[i] > 0.0:
-            return p1, float(p2_axis[i]), float(values[i])
-    return 0.0, 0.0, 0.0
+        for p2 in _axis_blocks(ch.p2_max, spec.steps_per_axis, _BLOCK_ENTRIES):
+            values = (_capacities(p1 / (1.0 + p2), unit)
+                      - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2), unit))
+            i = int(values.argmax())  # first max = smallest p2 on ties
+            if values[i] > best[2]:
+                best = (p1, float(p2[i]), float(values[i]))
+    return best
 
 
 def _gap(closed_form, oracle, tol, who, found=""):

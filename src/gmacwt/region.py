@@ -20,6 +20,7 @@ the closed forms (``sumrate``, ``jamming``) and the CLI start without it.
 
 from __future__ import annotations
 
+import gc
 import math
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -344,17 +345,29 @@ class RateRegion(Record):
         return all(s <= b + CONTAINS_TOL for s, b in zip(sums[1:], self.bounds))
 
     def to_json_dict(self) -> dict:
-        subsets = [[]]  # 1-based users of every subset, in bitmask order
-        for k in range(1, self.num_users + 1):
-            subsets += [s + [k] for s in subsets]
+        """The region as a JSON document, with fresh lists on every call.
+
+        The 2^K - 1 halfspaces are built with the cyclic garbage collector
+        paused (and left as it was found): they are about 2^(K+1) new
+        lists and dicts, which at K = 16 set off collector passes costing
+        more than the building, and none of them can be part of a cycle.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            subsets = [[]]  # 1-based users of every subset, in bitmask order
+            for k in range(1, self.num_users + 1):
+                subsets += [[*s, k] for s in subsets]
+            halfspaces = [{"subset": users, "bound": bound}
+                          for users, bound in zip(subsets[1:], self.bounds)]
+        finally:
+            if enabled:
+                gc.enable()
         vertices = self.vertices
         return {
             "feasible": self.feasible,
             "rate_unit": self.rate_unit,
-            "halfspaces": [
-                {"subset": users, "bound": bound}
-                for users, bound in zip(subsets[1:], self.bounds)
-            ],
+            "halfspaces": halfspaces,
             "vertices": None if vertices is None else [list(v) for v in vertices],
         }
 

@@ -400,19 +400,19 @@ def test_oversized_grid_exits_1(tmp_path, capsys, users, argv):
 
 
 def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsys):
-    # The jamming oracle puts two points (p1 = 0 and p1_max) on each
-    # jamming power, so 1e-3 on [0, 6000] needs 12,000,002 of them.
+    # The jamming oracle evaluates one point (p1 = p1_max) per jamming
+    # power, so 1e-3 on [0, 12000] needs 12,000,001 of them.
     doc = write(tmp_path, {"standard": True, "users": [
-        {"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 6000}]})
+        {"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 12000}]})
     code, out, err = run(capsys, "jam", doc, "--verify")
     assert code == 1
     assert out == ""
     assert err.startswith("error: p2-step: 0.001 ") and len(err.splitlines()) == 1
     fits = float(err.rsplit(" ", 1)[1])
     args = argparse.Namespace(p2_step=fits)
-    assert 2 * (int(cli._p2_ratio(args, 6000.0, axes=2)) + 1) <= 10_000_000
+    assert int(cli._p2_ratio(args, 12000.0)) + 1 <= 10_000_000
     with pytest.raises(ValidationError, match="p2-step"):
-        cli._p2_ratio(argparse.Namespace(p2_step=math.nextafter(fits, 0.0)), 6000.0, axes=2)
+        cli._p2_ratio(argparse.Namespace(p2_step=math.nextafter(fits, 0.0)), 12000.0)
 
 
 def test_region_sweep_row_cap(tmp_path, capsys):

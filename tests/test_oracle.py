@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,8 @@ from gmacwt import (
     verify_jamming,
     verify_sum_rate,
 )
+from gmacwt.oracle import _BLOCK_ENTRIES, _axis_blocks
+from gmacwt.region import MAX_GRID_POINTS, _capacities, _grid_axis
 
 from helpers import random_case_a, random_case_b, random_channel, rng
 
@@ -134,6 +138,104 @@ def test_grid_sum_rate_memory_does_not_grow_with_the_grid():
     tracemalloc.start()
     try:
         grid_max_sum_rate(ch, GridSpec(steps_per_axis=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _one_pass_jamming(ch, steps, unit):
+    """The jamming oracle's search in one pass: the whole ``linspace``
+    axis (repeats dropped), one ``argmax``.  Returns the result and the
+    objective on the axis."""
+    p2 = np.linspace(0.0, ch.p2_max, steps)
+    p2 = p2[np.append(True, np.diff(p2) > 0)]
+    p1 = ch.p1_max
+    values = (_capacities(p1 / (1.0 + p2), unit)
+              - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2), unit))
+    i = int(values.argmax())
+    if p1 > 0 and values[i] > 0.0:
+        return (p1, float(p2[i]), float(values[i])), values
+    return (0.0, 0.0, 0.0), values
+
+
+def _bits(result):
+    return [x.hex() for x in result]
+
+
+B = _BLOCK_ENTRIES
+EPS = sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("unit", ["bits", "nats"])
+@pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("ch", [
+    TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=10),      # case A, interior root
+    TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=0.2),     # case A, full jamming
+    TwoUserChannel(h1=1.2, h2=1.4, p1_max=10, p2_max=50),      # case B
+    TwoUserChannel(h1=0.4, h2=1.4, p1_max=0, p2_max=10),       # nothing to transmit
+    TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=1e-320),  # the axis repeats points
+    TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=0.0),
+])
+def test_blocked_jamming_oracle_equals_one_pass(ch, steps, unit):
+    expected, _ = _one_pass_jamming(ch, steps, unit)
+    assert _bits(grid_max_jamming(ch, GridSpec(steps_per_axis=steps), unit)) == _bits(expected)
+
+
+def test_blocked_jamming_oracle_keeps_a_maximum_tied_across_a_block_boundary():
+    """With p2 below the float spacing of 1, ``1 + p2`` rounds to 1 on the
+    first half of the axis and beyond, so the objective holds its maximum
+    on both sides of index B; the first point (p2 = 0) is the answer."""
+    ch = TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=0.9 * EPS)
+    steps = 2 * B + 1
+    for unit in ("bits", "nats"):
+        expected, values = _one_pass_jamming(ch, steps, unit)
+        assert values[B - 1] == values[B] == values.max() > values[-1]
+        assert expected[1] == 0.0
+        assert _bits(grid_max_jamming(ch, GridSpec(steps_per_axis=steps), unit)) == _bits(expected)
+
+
+def test_jamming_oracle_agrees_with_one_pass_on_random_channels():
+    gen = rng(53)
+    for _ in range(40):
+        ch = random_case_a(gen) if gen.random() < 0.5 else random_case_b(gen)
+        steps = int(gen.integers(2, 3 * B))
+        unit = "bits" if gen.random() < 0.5 else "nats"
+        expected, _ = _one_pass_jamming(ch, steps, unit)
+        assert _bits(grid_max_jamming(ch, GridSpec(steps_per_axis=steps), unit)) == _bits(expected)
+
+
+@pytest.mark.parametrize("p_max", [
+    0.0, 5e-324, 1e-323, 3e-323, 1e-320, 1e-310, 2.2250738585072014e-308,
+    1e-300, 0.9 * EPS, 0.3, 1.0, 10.0, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("steps", [2, 3, 4, 7, 1000, 4097])
+def test_axis_blocks_are_the_grid_axis(p_max, steps):
+    with np.errstate(over="ignore"):  # linspace forms (steps - 1) * step before replacing it
+        axis = _grid_axis(p_max, steps)
+    for size in (1, 3, 64, B):
+        with np.errstate(over="raise"):
+            blocks = list(_axis_blocks(p_max, steps, size))
+        assert all(0 < len(b) <= size for b in blocks)
+        joined = np.concatenate(blocks)
+        assert joined.shape == axis.shape
+        assert np.array_equal(joined.view(np.int64), axis.view(np.int64))
+
+
+def test_jamming_grid_cap_counts_one_point_per_jamming_power():
+    ch = TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=10)
+    with pytest.raises(ValidationError,
+                       match=f"grid would have {MAX_GRID_POINTS + 1} points"):
+        grid_max_jamming(ch, GridSpec(steps_per_axis=MAX_GRID_POINTS + 1))
+
+
+def test_grid_jamming_memory_does_not_grow_with_the_axis():
+    """The jamming axis is built and evaluated a block at a time: 2x10^6
+    points in a few MB, where the whole axis and its temporaries took
+    about 8 bytes per point ten times over."""
+    ch = TwoUserChannel(h1=0.4, h2=1.4, p1_max=10, p2_max=10)
+    tracemalloc.start()
+    try:
+        grid_max_jamming(ch, GridSpec(steps_per_axis=2_000_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

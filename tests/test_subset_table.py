@@ -8,7 +8,10 @@ slack is nearly 0; powers span 1e-6 to 1e6 (and 0), where sums of very
 different magnitudes meet, and for the bound property 1e-300 to 1e300.
 """
 
+import gc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmacwt import RateRegion, StandardChannel, build_region, is_feasible, union_sweep
@@ -175,3 +178,35 @@ def test_region_bounds_stand_for_their_halfspace_pairs(case, data):
     }
     doc["halfspaces"][0]["subset"].append(0)  # each call builds fresh lists
     assert region.to_json_dict()["halfspaces"][0]["subset"] == [1]
+
+
+def test_sixteen_user_document_equals_the_pair_built_one():
+    """The 2^16 - 1 halfspaces of the largest region: the same document
+    as one built from the ``(users, bound)`` pairs, with fresh lists."""
+    gen = np.random.default_rng(16)
+    ch = StandardChannel(h=tuple(gen.uniform(0.0, 2.0, 16)),
+                         p_max=tuple(gen.uniform(0.0, 20.0, 16)))
+    region = build_region(ch.p_max, ch)
+    doc = region.to_json_dict()
+    assert doc == {
+        "feasible": region.feasible,
+        "rate_unit": ch.rate_unit,
+        "halfspaces": [{"subset": [k + 1 for k in users], "bound": bound}
+                       for users, bound in zip(_subset_users(16)[1:], region.bounds)],
+        "vertices": None,
+    }
+    assert doc["halfspaces"][-1]["subset"] == list(range(1, 17))
+    doc["halfspaces"][-1]["subset"].append(0)
+    assert region.to_json_dict()["halfspaces"][-1]["subset"] == list(range(1, 17))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_to_json_dict_leaves_the_collector_as_it_found_it(enabled):
+    region = build_region((1.0, 2.0, 3.0), StandardChannel(h=(0.5, 1.5, 0.2), p_max=(3, 3, 3)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        region.to_json_dict()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
