@@ -29,7 +29,7 @@ import sys
 
 from .channel import StandardChannel, channel_to_json, load_channel
 from .errors import InternalError, ValidationError
-from .region import MAX_GRID_POINTS, _check_grid, build_region, is_feasible, union_sweep
+from .region import MAX_GRID_POINTS, _check_grid, _sweep_table, build_region, is_feasible
 
 
 def _parse_powers(text):
@@ -81,7 +81,8 @@ def _fmt(value) -> str:
 def _csv(header, rows) -> str:
     lines = [header]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _json_doc(doc) -> str:
@@ -180,12 +181,13 @@ def _cmd_jam(args):
 def _cmd_sweep(args):
     ch = _load(args)
     if args.kind == "region":
-        regions = union_sweep(ch, args.grid_steps)
+        table = _sweep_table(ch, args.grid_steps)
         print(
             "# region sweep: bounds at every feasible grid point "
             "(union data), rate_unit=" + ch.rate_unit,
             file=sys.stderr)
-        rows = [(p1, p2, *region.bounds) for (p1, p2), region in regions]
+        # a slice at a time, so the rows are never all Python floats at once
+        rows = (row for i in range(0, len(table), 4096) for row in table[i:i + 4096].tolist())
         return _csv("P1,P2,b1,b2,b12", rows)
 
     from .jamming import TwoUserChannel, jam_objective

@@ -11,15 +11,15 @@ lexicographically smallest power vector so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 
 from .channel import StandardChannel
 from .errors import InternalError, ValidationError
 from .jamming import (
     BRANCH_NO_JAM, CASE_DEGENERATE, JammingSolution, TwoUserChannel)
 from .record import Record, setfield
-from .region import _capacities, _check_grid, _grid_axis, _infeasible
+from .region import _axis_blocks, _capacities, _check_grid, _grid_axis, _infeasible
 from .sumrate import SumRateSolution
 
 #: The closed forms must match the oracles this well: the sum rate (which
@@ -46,8 +46,9 @@ class GridSpec(Record):
         setfield(self, "steps_per_axis", steps_per_axis)
 
 
-#: Grid points times users evaluated at once; bounds the oracle's memory
-#: and keeps the arrays cache-sized.
+#: Grid points evaluated at once; bounds the oracles' memory and keeps
+#: the arrays cache-sized.  The sum-rate oracle's per-user columns are
+#: axes that broadcast, so only its per-point arrays count.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -55,9 +56,15 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     """Exhaustive sum-rate maximization over the feasible grid points.
 
     Feasibility comes from the gain-sorted prefixes of ``gmacwt.region``
-    and the sum rate is the full set's bound, a block of points at a time;
-    each block's points are built from their grid indices, so memory does
-    not grow with the grid.
+    and the sum rate is the full set's bound.  User ``k``'s axis is array
+    dimension ``k`` and numpy broadcasts the axes against each other, so
+    a sum over the last users is only as large as their part of the grid.
+    The grid is searched a block of at most ``_BLOCK_ENTRIES`` points at
+    a time: the leading axes are fixed at one point each (as many as
+    needed), the next axis is sliced and the remaining axes are taken
+    whole.  The blocks come in lexicographic order, so memory does not
+    grow with the grid and the first maximum is the lexicographically
+    smallest.
 
     Returns
     -------
@@ -65,58 +72,35 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
         The maximizing grid point (lexicographically smallest on ties)
         and its sum secrecy rate.
     """
-    _check_grid("steps_per_axis", spec.steps_per_axis, ch.num_users)
+    steps, k = spec.steps_per_axis, ch.num_users
+    _check_grid("steps_per_axis", steps, k)
 
     import numpy as np
-    axes = [_grid_axis(p, spec.steps_per_axis) for p in ch.p_max]
-    shape = tuple(len(axis) for axis in axes)
-    size = math.prod(shape)
-    best, best_rate = 0, -math.inf  # zero power is always feasible, so a max exists
-    block = max(1, _BLOCK_ENTRIES // ch.num_users)
-    for start in range(0, size, block):
-        rest = np.arange(start, min(start + block, size))  # flat grid indices
-        columns = [None] * ch.num_users
-        hp = [None] * ch.num_users
-        s_p = s_hp = 0.0
-        for k in reversed(range(ch.num_users)):  # as the subset table adds
-            rest, index = np.divmod(rest, shape[k])  # the index on axis k
-            columns[k] = axes[k][index]
-            hp[k] = ch.h[k] * columns[k]
-            s_p = s_p + columns[k]
-            s_hp = s_hp + hp[k]
-        # the full set's bound; its complement is empty, so no interference
-        rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
-        rate[_infeasible(columns, hp, ch.h)] = -math.inf
-        i = int(rate.argmax())  # first max = lexicographically smallest
-        if rate[i] > best_rate:
-            best, best_rate = start + i, rate[i]
-    index = np.unravel_index(best, shape)
-    return tuple(float(axis[i]) for axis, i in zip(axes, index)), float(best_rate)
-
-
-def _axis_blocks(p_max, steps, size):
-    """``_grid_axis(p_max, steps)`` in consecutive slices of at most
-    ``size`` points.
-
-    Each slice is built from its indices as ``np.linspace`` builds them,
-    ``i * step`` with the last point exactly ``p_max``.  When the step is
-    below the smallest normal float (``p_max`` is 0 or tiny), rounding
-    can repeat points, so the whole axis is built and deduplicated.
-    """
-    import numpy as np
-    step = p_max / (steps - 1)
-    if not step >= sys.float_info.min:
-        axis = _grid_axis(p_max, steps)
-        yield from (axis[i:i + size] for i in range(0, len(axis), size))
-        return
-    for start in range(0, steps, size):
-        block = np.arange(start, min(start + size, steps), dtype=float)
-        if start + size < steps:
-            block *= step
-        else:  # the last point is p_max itself; (steps - 1) * step may overflow
-            block[:-1] *= step
-            block[-1] = p_max
-        yield block
+    cut = 0  # the sliced axis; the axes before it are fixed
+    while steps ** (k - 1 - cut) > _BLOCK_ENTRIES:
+        cut += 1
+    # user j's axis as array dimension j (of the block: counted from the end)
+    rest = [_grid_axis(p, steps).reshape(-1, *[1] * (k - 1 - j))
+            for j, p in enumerate(ch.p_max) if j > cut]
+    run = _BLOCK_ENTRIES // math.prod(len(a) for a in rest)
+    best, best_rate = None, -math.inf  # zero power is always feasible, so a max exists
+    for fixed in itertools.product(*(_grid_axis(p, steps).tolist() for p in ch.p_max[:cut])):
+        for part in _axis_blocks(ch.p_max[cut], steps, run):
+            columns = [*fixed, part.reshape(-1, *[1] * (k - 1 - cut)), *rest]
+            hp = [g * x for g, x in zip(ch.h, columns)]
+            s_p, s_hp = columns[-1], hp[-1]
+            for j in reversed(range(k - 1)):  # as the subset table adds
+                s_p = s_p + columns[j]
+                s_hp = s_hp + hp[j]
+            # the full set's bound; its complement is empty, so no interference
+            rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
+            rate[_infeasible(columns, hp, ch.h)] = -math.inf
+            i = int(rate.argmax())  # first max = lexicographically smallest
+            if rate.flat[i] > best_rate:
+                index = np.unravel_index(i, rate.shape)
+                best_rate = rate.flat[i]
+                best = (*fixed, *(float(x.flat[n]) for x, n in zip(columns[cut:], index)))
+    return best, float(best_rate)
 
 
 def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):

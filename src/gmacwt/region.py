@@ -11,7 +11,7 @@ the box ``0 <= P_k <= p_max_k`` and with nonnegative secrecy slack for
 every subset, which is exactly the condition ``main(S) >= tap_intf(S)``.
 
 Membership in the allowable set is decided on the K prefixes of the users
-sorted by gain (``_violated_prefixes``), for one point or a column of points.
+sorted by gain (``_violated_prefixes``), for one point or a broadcast grid.
 Region bounds are read from one table of every subset's power sums, built
 for a block of power points at once (``_subset_table``).  numpy is
 imported inside the functions that build arrays, not at module level, so
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -46,8 +47,10 @@ _VERTEX_TOL = 1e-12
 MAX_GRID_POINTS = 10_000_000
 
 #: Cap on the grid points of ``union_sweep``, which keeps a ``RateRegion``
-#: per feasible point: about 0.53 KB each at peak, measured as 219 MB of
-#: peak RSS for the 360,000 rows of an all-feasible 600-step sweep.
+#: per feasible point: about 0.51 KB each at peak, measured as 213 MB of
+#: peak RSS for the 360,000 rows of an all-feasible 600-step sweep.  The
+#: CLI's region sweep writes its CSV from ``_sweep_table`` instead, at
+#: 131 MB of peak RSS for the same sweep, most of it the CSV text.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -89,9 +92,12 @@ def _slack(s_p, s_hp, c_hp):
     return s_p - s_hp / (1.0 + c_hp)
 
 
-def _bounds(s_p, s_hp, c_hp, unit):
-    """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of a table."""
-    return _capacities(s_p, unit) - _capacities(s_hp / (1.0 + c_hp), unit)
+def _bounds(table, unit):
+    """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of every
+    nonempty subset at each point of a subset table: one point per row,
+    in bitmask order."""
+    s_p, s_hp, c_hp = (sums[1:] for sums in table)
+    return (_capacities(s_p, unit) - _capacities(s_hp / (1.0 + c_hp), unit)).T
 
 
 def _subset_table(points, h):
@@ -139,8 +145,10 @@ def _violated_prefixes(p, hp):
 
 
 def _infeasible(columns, hp, h):
-    """Where some gain-sorted prefix is violated, for arrays of points;
-    ``hp[k]`` is ``h[k] * columns[k]``, which callers have formed already."""
+    """Where some gain-sorted prefix is violated, on a grid of points;
+    ``hp[k]`` is ``h[k] * columns[k]``, which callers have formed already.
+    A column is a float or an axis that broadcasts against the others;
+    each verdict involves every user, so it has the whole grid's shape."""
     order = _gain_order(h)
     first, *rest = _violated_prefixes([columns[k] for k in order], [hp[k] for k in order])
     for violated in rest:
@@ -416,11 +424,10 @@ def _regions(table, feasible, unit) -> list[RateRegion]:
     constructor, which takes twice as long; ``union_sweep`` builds one per
     feasible grid point.
     """
-    s_p, s_hp, c_hp = table
     new, bounds = RateRegion.__new__, RateRegion.bounds.__set__
     feasible_, unit_ = RateRegion.feasible.__set__, RateRegion.rate_unit.__set__
     regions = []
-    for row in _bounds(s_p[1:], s_hp[1:], c_hp[1:], unit).T.tolist():
+    for row in _bounds(table, unit).tolist():
         region = new(RateRegion)
         bounds(region, tuple(row))
         feasible_(region, feasible)
@@ -437,19 +444,60 @@ def build_region(powers, ch: StandardChannel) -> RateRegion:
                     ch.rate_unit)[0]
 
 
+def _axis_blocks(p_max: float, steps: int, size: int):
+    """The grid ``{0, step, ..., p_max}`` with ``step = p_max / (steps - 1)``,
+    in consecutive slices of at most ``size`` points.
+
+    The points are those of ``np.linspace(0, p_max, steps)``, bit for bit:
+    ``i * step``, with the last point ``p_max`` itself, so ``(steps - 1) *
+    step``, which may overflow, is never formed.  When the step is below
+    the smallest normal float (``p_max`` is 0 or tiny), rounding can
+    repeat points, so the whole axis is built and its repeats dropped.
+    """
+    import numpy as np
+    step = p_max / (steps - 1)
+    if not step >= sys.float_info.min:
+        axis = np.linspace(0.0, p_max, steps)
+        axis = axis[np.append(True, np.diff(axis) > 0)]
+        yield from (axis[i:i + size] for i in range(0, len(axis), size))
+        return
+    for start in range(0, steps, size):
+        block = np.arange(start, min(start + size, steps), dtype=float)
+        if start + size < steps:
+            block *= step
+        else:
+            block[:-1] *= step
+            block[-1] = p_max
+        yield block
+
+
 def _grid_axis(p_max: float, steps: int) -> np.ndarray:
-    """The grid ``{0, step, ..., p_max}`` with ``step = p_max / (steps - 1)``;
-    its last point is exactly ``p_max``."""
-    import numpy as np
-    axis = np.linspace(0.0, p_max, steps)
-    return axis[np.append(True, np.diff(axis) > 0)]  # a 0 or tiny p_max repeats points
+    """The whole grid axis of ``_axis_blocks``; its last point is exactly
+    ``p_max``."""
+    return next(_axis_blocks(p_max, steps, steps))
 
 
-def _grid_points(axes) -> np.ndarray:
-    """The product of ``axes``, one point per row, in lexicographic order."""
+def _sweep_points(ch: StandardChannel, grid_steps: int) -> np.ndarray:
+    """The feasible points of ``union_sweep``'s grid, one per row, in
+    ascending ``(P1, P2)`` order."""
+    if ch.num_users != 2:
+        raise ValidationError(
+            f"users: region sweep requires exactly 2 users (got {ch.num_users})")
+    _check_grid("grid_steps", grid_steps, 2, MAX_SWEEP_POINTS)
     import numpy as np
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    p1, p2 = (_grid_axis(p, grid_steps) for p in ch.p_max)
+    columns = [p1[:, None], p2]  # the grid by broadcasting, P1 down and P2 across
+    feasible = ~_infeasible(columns, [g * x for g, x in zip(ch.h, columns)], ch.h)
+    i, j = np.nonzero(feasible)  # row-major, i.e. ascending (P1, P2), order
+    return np.stack([p1[i], p2[j]], axis=1)
+
+
+def _sweep_table(ch: StandardChannel, grid_steps: int) -> np.ndarray:
+    """``union_sweep`` as one array: a row ``(P1, P2, b1, b2, b12)`` per
+    feasible grid point, in ascending ``(P1, P2)`` order."""
+    import numpy as np
+    points = _sweep_points(ch, grid_steps)
+    return np.concatenate([points, _bounds(_subset_table(points, ch.h), ch.rate_unit)], axis=1)
 
 
 def union_sweep(ch: StandardChannel, grid_steps: int):
@@ -466,12 +514,6 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
     -------
     list of ((P1, P2), RateRegion)
     """
-    if ch.num_users != 2:
-        raise ValidationError(
-            f"users: region sweep requires exactly 2 users (got {ch.num_users})")
-    _check_grid("grid_steps", grid_steps, 2, MAX_SWEEP_POINTS)
-    points = _grid_points([_grid_axis(p, grid_steps) for p in ch.p_max])
-    columns = points.T
-    points = points[~_infeasible(columns, [g * x for g, x in zip(ch.h, columns)], ch.h)]
+    points = _sweep_points(ch, grid_steps)
     regions = _regions(_subset_table(points, ch.h), True, ch.rate_unit)
     return [(tuple(pt), r) for pt, r in zip(points.tolist(), regions)]

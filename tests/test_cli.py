@@ -268,6 +268,48 @@ def test_sweep_region_skips_infeasible(tmp_path, capsys):
     assert (4.0, 1.0) in points
 
 
+@pytest.mark.parametrize("doc", [GOOD_DOC, CASE_A_DOC, BAD_DOC, {
+    "standard": True, "rate_unit": "nats",
+    "users": [{"h": 0.3, "power_max": 1e-310}, {"h": 1.0 + 1e-10, "power_max": 7.3}]}])
+@pytest.mark.parametrize("steps", [2, 3, 17, 60])
+def test_sweep_region_csv_renders_union_sweep(tmp_path, capsys, doc, steps):
+    """The CSV comes from the feasible points and their bound table; it
+    is the rendering of ``union_sweep``'s regions."""
+    code, out, _ = run(capsys, "sweep", write(tmp_path, doc),
+                       "--kind", "region", "--grid-steps", str(steps))
+    assert code == 0
+    rows = region.union_sweep(channel_from_json(doc), steps)
+    assert out == cli._csv("P1,P2,b1,b2,b12", [(*pt, *r.bounds) for pt, r in rows])
+
+
+HUGE_CAP_DOC = {
+    "standard": True,
+    "users": [{"h": 0.5, "power_max": sys.float_info.max}, {"h": 0.25, "power_max": 0}],
+}
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["sweep", "{doc}", "--kind", "region", "--grid-steps", "4"],
+     "# region sweep: bounds at every feasible grid point (union data), rate_unit=bits\n"),
+    (["maxsum", "{doc}", "--verify", "--grid-steps", "4"], ""),
+])
+def test_grid_axis_at_the_float_maximum_warns_nothing(tmp_path, argv, err):
+    """An axis ending at the largest float is built without forming
+    ``(steps - 1) * step``, so numpy has no overflow to warn about (run
+    with RuntimeWarnings as errors)."""
+    doc = write(tmp_path, HUGE_CAP_DOC)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gmacwt.cli",
+         *[a.format(doc=doc) for a in argv]], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, err)
+    if argv[0] == "sweep":
+        assert proc.stdout.splitlines()[-1].startswith(f"{sys.float_info.max!r},0.0,")
+    else:
+        assert json.loads(proc.stdout)["oracle"]["p_star"][1] == 0.0
+
+
 def test_sweep_jam_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", write(tmp_path, CASE_A_DOC),
                        "--kind", "jam", "--p2-step", "0.1")

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gmacwt import (
     verify_sum_rate,
 )
 from gmacwt.oracle import _BLOCK_ENTRIES, _axis_blocks
-from gmacwt.region import MAX_GRID_POINTS, _capacities, _grid_axis
+from gmacwt.region import FEASIBILITY_TOL, MAX_GRID_POINTS, _capacities, _grid_axis
 
 from helpers import random_case_a, random_case_b, random_channel, rng
 
@@ -144,6 +145,143 @@ def test_grid_sum_rate_memory_does_not_grow_with_the_grid():
     assert peak < 16 * 2**20
 
 
+def test_one_user_grid_memory_does_not_grow_with_the_axis():
+    """A one-user grid may hold all of MAX_GRID_POINTS on its one axis,
+    which is built and searched a block at a time: 10^7 points in a few
+    MB, where the whole axis alone is 80 MB."""
+    ch = StandardChannel(h=(0.5,), p_max=(3.0,))
+    tracemalloc.start()
+    try:
+        powers, _ = grid_max_sum_rate(ch, GridSpec(steps_per_axis=MAX_GRID_POINTS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert powers == (3.0,)
+    assert peak < 16 * 2**20
+
+
+B = _BLOCK_ENTRIES
+EPS = sys.float_info.epsilon
+
+
+def _flat_index_search(ch, steps):
+    """The sum-rate oracle's search in one flat pass, as it was first
+    written: every point built from its flat grid index (K divmods and K
+    gathers), every sum on arrays of the whole grid, one ``argmax``.
+    Returns the result and the rates, -inf where infeasible."""
+    with np.errstate(over="ignore"):  # linspace forms (steps - 1) * step
+        axes = [np.linspace(0.0, p, steps) for p in ch.p_max]
+    axes = [a[np.append(True, np.diff(a) > 0)] for a in axes]
+    shape = tuple(len(a) for a in axes)
+    k = len(shape)
+    rest = np.arange(int(np.prod(shape)))
+    columns = [None] * k
+    s_p = s_hp = 0.0
+    for j in reversed(range(k)):
+        rest, index = np.divmod(rest, shape[j])
+        columns[j] = axes[j][index]
+        s_p = s_p + columns[j]
+        s_hp = s_hp + ch.h[j] * columns[j]
+    rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
+    order = sorted(range(k), key=lambda j: -ch.h[j])
+    p = [columns[j] for j in order]
+    hp = [ch.h[j] * columns[j] for j in order]
+    violated = np.zeros(rate.shape, dtype=bool)
+    for j in range(k):  # the prefix order[:j + 1] against its complement
+        a, b = p[0], hp[0]
+        for i in range(1, j + 1):
+            a, b = a + p[i], b + hp[i]
+        c = 0.0
+        for i in reversed(range(j + 1, k)):
+            c = c + hp[i]
+        violated |= a - b / (1.0 + c) < -FEASIBILITY_TOL
+    rate[violated] = -np.inf
+    i = int(rate.argmax())
+    index = np.unravel_index(i, shape)
+    return (tuple(float(a[n]) for a, n in zip(axes, index)), float(rate[i])), rate.reshape(shape)
+
+
+def _sum_bits(result):
+    powers, rate = result
+    return [x.hex() for x in powers], rate.hex()
+
+
+def _mixed_channel(gen, k, unit):
+    """Gains below, near and above 1; caps of every magnitude, 0 and
+    subnormal-tiny among them (axes that repeat points and shrink)."""
+    h = [float(gen.choice([gen.uniform(0.05, 0.95), gen.uniform(1.05, 4.0),
+                           1.0 + gen.uniform(-1e-9, 1e-9), 0.0])) for _ in range(k)]
+    p = [float(gen.choice([gen.uniform(0.5, 20.0), 10 ** gen.uniform(-6, 6), 0.0, 1e-310]))
+         for _ in range(k)]
+    return StandardChannel(h=h, p_max=p, rate_unit=unit)
+
+
+# Steps on both sides of each change of the split: the sliced axis moves
+# one place when steps ** (K - 1) crosses _BLOCK_ENTRIES, and for K = 1 the
+# axis falls into a second block.
+@pytest.mark.parametrize("k,steps", [
+    (1, B - 1), (1, B), (1, B + 1), (1, 2 * B + 1), (2, 256), (2, 257), (2, 300),
+    (3, 40), (3, 41), (4, 40), (4, 41), (5, 16), (5, 17), (6, 9), (6, 10), (7, 6), (7, 7)])
+def test_sum_rate_oracle_equals_the_flat_index_search(k, steps):
+    gen = rng(54 + 100 * k + steps)
+    for unit in ("bits", "nats"):
+        ch = _mixed_channel(gen, k, unit)
+        expected, _ = _flat_index_search(ch, steps)
+        assert _sum_bits(grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))) == _sum_bits(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.sampled_from(["bits", "nats"]),
+       st.sampled_from([3, 16, 64, 1000, B]), st.data())
+def test_sum_rate_oracle_equals_the_flat_index_search_on_random_channels(
+        k, seed, unit, block, data):
+    """Small blocks put the split at every level on small grids."""
+    steps = data.draw(st.integers(2, max(2, int(4000 ** (1 / k)))))
+    ch = _mixed_channel(rng(seed), k, unit)
+    expected, _ = _flat_index_search(ch, steps)
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
+        result = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
+    assert _sum_bits(result) == _sum_bits(expected)
+
+
+def test_sum_rate_oracle_adds_the_users_in_the_flat_search_order():
+    """With gains below 0.1 and caps below 1 every user transmits at full
+    power, so the rate is that of a sum of K caps, whose last bit depends
+    on the order of the additions: the highest index first."""
+    gen = rng(55)
+    for k in (3, 4, 5, 6, 7):
+        for unit in ("bits", "nats"):
+            for _ in range(4):
+                ch = StandardChannel(h=gen.uniform(0.0, 0.1, k).tolist(),
+                                     p_max=gen.uniform(0.1, 1.0, k).tolist(), rate_unit=unit)
+                expected, _ = _flat_index_search(ch, 3)
+                assert expected[0] == ch.p_max
+                assert _sum_bits(grid_max_sum_rate(ch, GridSpec(steps_per_axis=3))) == _sum_bits(expected)
+
+
+@pytest.mark.parametrize("unit", ["bits", "nats"])
+@pytest.mark.parametrize("ch,steps,block,boundary", [
+    # one user's axis sliced: blocks of 65536 // 300 = 218 points of P1
+    (StandardChannel(h=(0.5, 0.5), p_max=(1e-300, 10.0)), 300, B, (218, 299)),
+    # P1 fixed per block and P2 sliced, 3 points at a time
+    (StandardChannel(h=(0.5, 0.3, 0.2), p_max=(1e-300, 10.0, 5.0)), 5, 16, (1, 4, 4)),
+])
+def test_sum_rate_oracle_keeps_a_maximum_tied_across_a_block_boundary(
+        ch, steps, block, boundary, unit):
+    """P1 is below the float spacing of the other powers, so the rate at
+    full power for the other users is the same for every P1, the first of
+    those points (P1 = 0) is the answer, and the tied maxima lie in
+    different blocks."""
+    ch = StandardChannel(h=ch.h, p_max=ch.p_max, rate_unit=unit)
+    expected, rates = _flat_index_search(ch, steps)
+    first = (0,) + boundary[1:]
+    assert rates[first] == rates[boundary] == rates.max()
+    assert expected[0][0] == 0.0
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
+        result = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
+    assert _sum_bits(result) == _sum_bits(expected)
+
+
 def _one_pass_jamming(ch, steps, unit):
     """The jamming oracle's search in one pass: the whole ``linspace``
     axis (repeats dropped), one ``argmax``.  Returns the result and the
@@ -161,10 +299,6 @@ def _one_pass_jamming(ch, steps, unit):
 
 def _bits(result):
     return [x.hex() for x in result]
-
-
-B = _BLOCK_ENTRIES
-EPS = sys.float_info.epsilon
 
 
 @pytest.mark.parametrize("unit", ["bits", "nats"])
@@ -210,7 +344,7 @@ def test_jamming_oracle_agrees_with_one_pass_on_random_channels():
     1e-300, 0.9 * EPS, 0.3, 1.0, 10.0, 1e300, sys.float_info.max])
 @pytest.mark.parametrize("steps", [2, 3, 4, 7, 1000, 4097])
 def test_axis_blocks_are_the_grid_axis(p_max, steps):
-    with np.errstate(over="ignore"):  # linspace forms (steps - 1) * step before replacing it
+    with np.errstate(over="raise"):
         axis = _grid_axis(p_max, steps)
     for size in (1, 3, 64, B):
         with np.errstate(over="raise"):
@@ -219,6 +353,22 @@ def test_axis_blocks_are_the_grid_axis(p_max, steps):
         joined = np.concatenate(blocks)
         assert joined.shape == axis.shape
         assert np.array_equal(joined.view(np.int64), axis.view(np.int64))
+
+
+@pytest.mark.parametrize("p_max", [
+    0.0, 5e-324, 1e-323, 3e-323, 1e-320, 1e-310, 2.2250738585072014e-308,
+    1e-300, 0.9 * EPS, 0.3, 1.0, 10.0, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("steps", [2, 3, 4, 7, 1000, 4097])
+def test_grid_axis_is_linspace_without_its_overflow(p_max, steps):
+    """The axis is ``np.linspace``'s, bit for bit, with repeats dropped;
+    linspace overwrites its last point with p_max, but first forms
+    ``(steps - 1) * step``, which overflows near the float maximum."""
+    with np.errstate(over="ignore"):
+        expected = np.linspace(0.0, p_max, steps)
+    expected = expected[np.append(True, np.diff(expected) > 0)]
+    with np.errstate(over="raise"):
+        axis = _grid_axis(p_max, steps)
+    assert np.array_equal(axis.view(np.int64), expected.view(np.int64))
 
 
 def test_jamming_grid_cap_counts_one_point_per_jamming_power():
