@@ -23,7 +23,8 @@ from __future__ import annotations
 import gc
 import math
 import sys
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
 from .channel import StandardChannel
@@ -47,10 +48,11 @@ _VERTEX_TOL = 1e-12
 MAX_GRID_POINTS = 10_000_000
 
 #: Cap on the grid points of ``union_sweep``, which keeps a ``RateRegion``
-#: per feasible point: about 0.51 KB each at peak, measured as 213 MB of
-#: peak RSS for the 360,000 rows of an all-feasible 600-step sweep.  The
-#: CLI's region sweep writes its CSV from ``_sweep_table`` instead, at
-#: 131 MB of peak RSS for the same sweep, most of it the CSV text.
+#: per feasible point: about 0.48 KB each at peak, measured as 197 MB of
+#: peak RSS (27 MB of it the interpreter with numpy) for the 360,000 rows
+#: of an all-feasible 600-step sweep.  The CLI's region sweep writes its
+#: CSV from ``_sweep_table`` instead, at 131 MB of peak RSS for the same
+#: sweep, most of it the CSV text.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -357,8 +359,14 @@ class RateRegion(Record):
 
         The 2^K - 1 halfspaces are built with the cyclic garbage collector
         paused (and left as it was found): they are about 2^(K+1) new
-        lists and dicts, which at K = 16 set off collector passes costing
-        more than the building, and none of them can be part of a cycle.
+        lists and dicts, none of which can be part of a cycle, and unpaused
+        they set off a collector pass every few hundred allocations.  One
+        pass still runs inside the call: allocating the outer dict, just
+        after the collector is re-enabled, sets off a young-generation pass
+        over all of the new objects (12-18 ms at K = 16, now and then an
+        older generation's pass of 50-70 ms instead).  Allocating the dict
+        inside the pause too would only move that pass to the caller's
+        next allocation.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -417,31 +425,16 @@ def classify_two_user_shape(b1: float, b2: float, b12: float) -> str:
     return "pentagon"
 
 
-def _regions(table, feasible, unit) -> list[RateRegion]:
-    """One ``RateRegion`` per point (column) of a subset table.
-
-    The regions are filled through their slots rather than built by the
-    constructor, which takes twice as long; ``union_sweep`` builds one per
-    feasible grid point.
-    """
-    new, bounds = RateRegion.__new__, RateRegion.bounds.__set__
-    feasible_, unit_ = RateRegion.feasible.__set__, RateRegion.rate_unit.__set__
-    regions = []
-    for row in _bounds(table, unit).tolist():
-        region = new(RateRegion)
-        bounds(region, tuple(row))
-        feasible_(region, feasible)
-        unit_(region, unit)
-        regions.append(region)
-    return regions
-
-
 def build_region(powers, ch: StandardChannel) -> RateRegion:
     """Achievable-region halfspaces at fixed powers, one per nonempty
     subset, with exact vertices for K <= 2."""
     p = _checked_powers(powers, ch)
-    return _regions(_subset_table([p], ch.h), _witness(p, ch) is None,
-                    ch.rate_unit)[0]
+    # The witness comes before the bounds are converted to floats: after
+    # them, it made perfbench's K = 16 region tasks about 5% slower, by
+    # allocation order alone (a tight loop shows no difference).
+    table, feasible = _subset_table([p], ch.h), _witness(p, ch) is None
+    row, = _bounds(table, ch.rate_unit).tolist()
+    return RateRegion(tuple(row), feasible, ch.rate_unit)
 
 
 def _axis_blocks(p_max: float, steps: int, size: int):
@@ -515,5 +508,13 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
     list of ((P1, P2), RateRegion)
     """
     points = _sweep_points(ch, grid_steps)
-    regions = _regions(_subset_table(points, ch.h), True, ch.rate_unit)
-    return [(tuple(pt), r) for pt, r in zip(points.tolist(), regions)]
+    columns = _bounds(_subset_table(points, ch.h), ch.rate_unit).T.tolist()
+    # Each pass below runs in C over every row: the regions are made bare
+    # and filled one slot at a time, which is faster than the constructor
+    # or a Python loop per row.
+    regions = list(map(RateRegion.__new__, repeat(RateRegion, len(points))))
+    for slot, values in ((RateRegion.bounds, zip(*columns)),
+                         (RateRegion.feasible, repeat(True)),
+                         (RateRegion.rate_unit, repeat(ch.rate_unit))):
+        deque(map(slot.__set__, regions, values), maxlen=0)
+    return list(zip(zip(*points.T.tolist()), regions))

@@ -19,7 +19,10 @@ from gmacwt.region import (
     CONTAINS_TOL,
     FEASIBILITY_TOL,
     InfeasibilityWitness,
+    _bounds,
+    _subset_table,
     _subset_users,
+    _sweep_points,
     _vertices,
     secrecy_slack,
     subset_rates,
@@ -115,6 +118,43 @@ def test_union_sweep_rows_equal_build_region(case, steps):
     assert [point for point, _ in rows] == feasible
     for point, region in rows:
         assert region == build_region(point, ch)
+
+
+def _union_sweep_row_by_row(ch, steps):
+    """``union_sweep`` built one row at a time, as a Python conversion per
+    point and per bound row."""
+    points = _sweep_points(ch, steps)
+    rows = _bounds(_subset_table(points, ch.h), ch.rate_unit).tolist()
+    return [(tuple(pt), RateRegion(tuple(row), True, ch.rate_unit))
+            for pt, row in zip(points.tolist(), rows)]
+
+
+#: Caps whose sweep step is subnormal or 0, so the grid axis repeats points
+#: and ``_axis_blocks`` drops the repeats.
+TINY_CAPS = st.sampled_from((0.0, 5e-324, 1e-310))
+
+
+def _hex_and_type(row):
+    """A sweep row as text, with every float by ``float.hex`` and every
+    tuple and float checked for its exact type (a ``numpy.float64``
+    compares equal to the float it holds)."""
+    point, region = row
+    assert type(point) is tuple and type(region.bounds) is tuple
+    assert all(type(x) is float for x in (*point, *region.bounds))
+    return ([x.hex() for x in point], [b.hex() for b in region.bounds],
+            region.feasible, region.rate_unit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GAINS, min_size=2, max_size=2),
+       st.lists(st.one_of(TINY_CAPS, POWERS), min_size=2, max_size=2),
+       st.sampled_from(("bits", "nats")), st.integers(2, 60))
+def test_union_sweep_equals_its_row_by_row_construction(h, p_max, unit, steps):
+    ch = StandardChannel(h=h, p_max=p_max, rate_unit=unit)
+    rows = union_sweep(ch, steps)
+    assert type(rows) is list
+    expected = _union_sweep_row_by_row(ch, steps)
+    assert [_hex_and_type(r) for r in rows] == [_hex_and_type(r) for r in expected]
 
 
 @settings(max_examples=300, deadline=None)
