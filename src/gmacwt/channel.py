@@ -151,9 +151,12 @@ def standardize(raw: ChannelParams, rate_unit: str = "bits") -> StandardChannel:
     (receiver side) and ``h_k * p_max_k == gains_to_eavesdropper_k *
     power_limits_k / noise_var_eavesdropper`` (eavesdropper side).
     """
-    h = tuple(
-        gw * raw.noise_var_receiver / (gm * raw.noise_var_eavesdropper)
-        for gm, gw in zip(raw.gains_to_receiver, raw.gains_to_eavesdropper))
+    try:
+        h = tuple(
+            gw * raw.noise_var_receiver / (gm * raw.noise_var_eavesdropper)
+            for gm, gw in zip(raw.gains_to_receiver, raw.gains_to_eavesdropper))
+    except ZeroDivisionError:  # both factors are > 0, but their product underflowed
+        raise ValidationError("h: gain_receiver * noise_var_eavesdropper underflows to 0") from None
     p_max = tuple(
         gm * p / raw.noise_var_receiver
         for gm, p in zip(raw.gains_to_receiver, raw.power_limits))
@@ -259,6 +262,6 @@ def load_channel(path) -> StandardChannel:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"input: cannot read {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too-long integer, too deep nesting
         raise ValidationError(f"input: {path} is not valid JSON: {exc}") from None
     return channel_from_json(doc)

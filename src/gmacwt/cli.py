@@ -16,8 +16,9 @@ invalid input, 2 an internal consistency failure (e.g. a ``--verify``
 cross-check disagreeing beyond tolerance).
 
 Each command imports the modules it runs: ``standardize``, ``feasible``
-and ``region`` never load ``sumrate``, ``jamming`` or ``oracle``, and
-``maxsum`` without ``--verify`` loads only ``sumrate``.
+and ``region`` never load ``sumrate``, ``jamming`` or ``oracle``,
+``maxsum`` loads ``sumrate`` (and ``oracle`` with ``--verify``) but never
+``jamming``, and ``jam`` loads ``sumrate`` only for two gains below 1.
 """
 
 from __future__ import annotations

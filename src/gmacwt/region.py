@@ -89,11 +89,6 @@ def _capacities(snr: np.ndarray, unit: str) -> np.ndarray:
     return nats / math.log(2) if unit == "bits" else nats
 
 
-def _slack(s_p, s_hp, c_hp):
-    """Secrecy slack ``P_S - hP_S / (1 + hP_{S^c})``; scalars or arrays."""
-    return s_p - s_hp / (1.0 + c_hp)
-
-
 def _bounds(table, unit):
     """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of every
     nonempty subset at each point of a subset table: one point per row,
@@ -127,23 +122,22 @@ def _subset_table(points, h):
 
 
 def _gain_order(h) -> list[int]:
-    """The users sorted by gain, highest first (ties by index)."""
-    return sorted(range(len(h)), key=lambda k: -h[k])
+    """The users sorted by gain, highest first (ties by index: the sort is stable)."""
+    return sorted(range(len(h)), key=h.__getitem__, reverse=True)
 
 
 def _violated_prefixes(p, hp):
     """For users listed in gain order, with powers ``p`` and products
-    ``hp`` (``h_k * P_k``), whether the secrecy slack of each prefix
-    ``[:j + 1]`` is below ``-FEASIBILITY_TOL``.
+    ``hp`` (``h_k * P_k``), whether the secrecy slack ``P_S - hP_S / (1 +
+    hP_{S^c})`` of each prefix ``S = [:j + 1]`` is below ``-FEASIBILITY_TOL``.
 
     Each entry is a float or an array with one entry per point, so one
     point and a grid share this arithmetic.  The complement of a prefix
     is a suffix, so every sum is a running sum.
     """
-    s_p = accumulate(p)
-    s_hp = accumulate(hp)
     c_hp = list(accumulate(reversed(hp[1:]), initial=0.0))[::-1]
-    return [_slack(*sums) < -FEASIBILITY_TOL for sums in zip(s_p, s_hp, c_hp)]
+    return [a - b / (1.0 + c) < -FEASIBILITY_TOL
+            for a, b, c in zip(accumulate(p), accumulate(hp), c_hp)]
 
 
 def _infeasible(columns, hp, h):
@@ -167,14 +161,14 @@ def _subset_users(k: int) -> list[tuple[int, ...]]:
 
 
 def _finite_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
-    p = tuple(float(x) for x in powers)
+    p = tuple(map(float, powers))
     if len(p) != ch.num_users:
         raise ValidationError(
             f"powers: length {len(p)} does not match the channel's "
             f"{ch.num_users} users")
-    for i, v in enumerate(p):
-        if not math.isfinite(v):
-            raise ValidationError(f"powers[{i}]: must be finite (got {v})")
+    if not all(map(math.isfinite, p)):
+        i = next(i for i, v in enumerate(p) if not math.isfinite(v))
+        raise ValidationError(f"powers[{i}]: must be finite (got {p[i]})")
     return p
 
 
@@ -245,7 +239,7 @@ def secrecy_slack(subset, powers, ch: StandardChannel) -> float:
     subset's secrecy rate bound.
     """
     s_p, s_hp, _, c_hp = _scalar_sums(subset, powers, ch)
-    return _slack(s_p, s_hp, c_hp)
+    return s_p - s_hp / (1.0 + c_hp)
 
 
 class InfeasibilityWitness(Record):

@@ -11,7 +11,9 @@ the resulting ratio.  Users with ``h_k >= 1`` never transmit.
 
 from __future__ import annotations
 
-from .channel import StandardChannel, sort_by_gain
+from operator import mul
+
+from .channel import StandardChannel
 from .errors import InternalError
 from .record import Record, setfield
 from .region import _checked_powers, awgn_capacity
@@ -50,10 +52,13 @@ def prune_bad_users(powers, ch: StandardChannel) -> tuple[float, ...]:
 def sum_secrecy_rate(powers, ch: StandardChannel) -> float:
     """``capacity(sum P_k) - capacity(sum h_k P_k)`` in the channel's rate
     unit; negative when the powers lie outside the allowable set."""
-    p = _checked_powers(powers, ch)
+    return _sum_rate(_checked_powers(powers, ch), ch)
+
+
+def _sum_rate(p, ch: StandardChannel) -> float:
+    """``sum_secrecy_rate`` of float powers already checked for ``ch``."""
     unit = ch.rate_unit
-    return (awgn_capacity(sum(p), unit)
-            - awgn_capacity(sum(h * v for h, v in zip(ch.h, p)), unit))
+    return awgn_capacity(sum(p), unit) - awgn_capacity(sum(map(mul, ch.h, p)), unit)
 
 
 class SumRateSolution(Record):
@@ -103,10 +108,11 @@ def max_sum_rate(ch: StandardChannel) -> SumRateSolution:
     SNR ratio; each admission lowers the ratio.  A user whose gain equals
     the ratio (within TIE_TOL, relative) or is >= 1 stays silent.  The
     returned allocation is in the original user order and is feasible by
-    construction.
+    construction.  ``ch`` was checked when it was built and the powers
+    are its caps, so nothing is checked again.
     """
-    sorted_ch, perm = sort_by_gain(ch)
-    h, p_max = sorted_ch.h, sorted_ch.p_max
+    perm = sorted(range(ch.num_users), key=ch.h.__getitem__)  # stable: ties by index
+    h, p_max = [ch.h[k] for k in perm], [ch.p_max[k] for k in perm]
 
     num = 1.0
     den = 1.0
@@ -127,13 +133,14 @@ def max_sum_rate(ch: StandardChannel) -> SumRateSolution:
 
     # Powered users all have h < 1, so every subset S has slack(S) >=
     # sum(P_k (1 - h_k), S) >= 0: feasible without a 2^K enumeration.
-    if not all(h[j] < 1.0 for j in range(limit)):
+    # The gains are sorted, so the last powered one is the largest.
+    if limit and not h[limit - 1] < 1.0:
         raise InternalError("optimal allocation powers a user with h >= 1, "
                             "which the scan excludes by construction")
 
     return SumRateSolution(
         powers=powers,
         limiting_user=limit,
-        sum_rate=sum_secrecy_rate(powers, ch),
+        sum_rate=_sum_rate(powers, ch),
         snr_ratio=num / den,
         rate_unit=ch.rate_unit)

@@ -528,12 +528,23 @@ print(json.dumps({"seen": seen, "codes": codes, "feasible": feasible}))
 """
 
 
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import gmacwt.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gmacwt."))]))
+"""
+
+
 def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     """numpy loads only where an array is built: never on import, nor for
     standardize, feasible, maxsum, jam, the jamming sweep or a rejected
     document.  Neither does ``dataclasses`` (nor ``inspect``, which it
     pulls in), and each command loads only the modules it runs, except
-    that ``gmacwt.region`` loads with the CLI."""
+    that ``gmacwt.region`` loads with the CLI: ``maxsum --verify`` loads
+    no ``gmacwt.jamming``, and ``jam`` outside its degenerate case no
+    ``gmacwt.sumrate``."""
     paths = [write(tmp_path, CASE_A_DOC, "a.json"), write(tmp_path, GOOD_DOC, "g.json"),
              write(tmp_path, {"standard": True, "users": []}, "bad.json"),
              write(tmp_path, BAD_DOC, "infeasible.json")]
@@ -550,3 +561,11 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
                 run(capsys, "feasible", paths[3], "--power", "1,1")[:2]]
     assert report["feasible"] == [list(e) for e in expected]
     assert [json.loads(out)["feasible"] for _, out in expected] == [True, False]
+
+    base = ["gmacwt.channel", "gmacwt.cli", "gmacwt.errors", "gmacwt.record", "gmacwt.region"]
+    for argv, modules in ((["maxsum", paths[1], "--verify"], ["gmacwt.oracle", "gmacwt.sumrate"]),
+                          (["jam", paths[0]], ["gmacwt.jamming"])):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert json.loads(proc.stdout) == [0, sorted(base + modules)]
