@@ -48,28 +48,21 @@ def _parse_float(name, text):
         raise ValidationError(f"{name}: expected a number (got {text!r})") from None
 
 
-def _p2_ratio(args, p2_max):
-    """``p2_max / --p2-step``, the jamming-power grid's step count before
-    rounding, once the step is finite and > 0 and the grid is under the
-    cap.  The jamming sweep and the jamming oracle both evaluate one
-    point per jamming power."""
-    step = args.p2_step
+def _p2_points(step, p2_max):
+    """The jamming-power grid's point count for ``--p2-step``: the
+    multiples of the step from 0 up to ``p2_max``, the last allowed 1e-9
+    steps past it for the rounding of ``p2_max / step``.  The jamming
+    sweep and the jamming oracle both take their count from here.  The
+    ratio is held to the cap before ``int()``, which an infinite ratio
+    would break."""
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"p2-step: must be finite and > 0 (got {step})")
-
-    def too_many(s):
-        return p2_max / s + 1 > MAX_GRID_POINTS
-
-    if too_many(step):
-        fits = p2_max / (MAX_GRID_POINTS - 1)
-        while too_many(fits):
-            fits = math.nextafter(fits, math.inf)
-        while not too_many(math.nextafter(fits, 0.0)):
-            fits = math.nextafter(fits, 0.0)
+    ratio = p2_max / step
+    if ratio + 1 > MAX_GRID_POINTS:
         raise ValidationError(
             f"p2-step: {step} would put more than {MAX_GRID_POINTS} grid "
-            f"points on [0, {p2_max}]; the smallest step that fits is {fits!r}")
-    return p2_max / step
+            f"points on [0, {p2_max}]")
+    return int(ratio + 1e-9) + 1
 
 
 def _fmt(value) -> str:
@@ -174,8 +167,7 @@ def _cmd_jam(args):
     doc = sol.to_json_dict(permutation=perm)
     if args.verify:
         from .oracle import verify_jamming
-        doc["oracle"] = verify_jamming(
-            ch, sol, lambda p2_max: int(_p2_ratio(args, p2_max)) + 1)
+        doc["oracle"] = verify_jamming(ch, sol, _p2_points(args.p2_step, two.p2_max))
     return _json_doc(doc)
 
 
@@ -196,16 +188,14 @@ def _cmd_sweep(args):
     p1 = two.p1_max if args.p1 is None else _parse_float("p1", args.p1)
     if not (math.isfinite(p1) and p1 >= 0):
         raise ValidationError(f"p1: must be finite and >= 0 (got {p1})")
-    ratio = _p2_ratio(args, two.p2_max)
+    step = args.p2_step
+    count = _p2_points(step, two.p2_max)
     print(
         f"# jamming sweep: objective vs jamming power at p1={_fmt(p1)}, "
         f"rate_unit={ch.rate_unit}",
         file=sys.stderr)
-    count = int(ratio + 1e-9) + 1
-    rows = []
-    for i in range(count):
-        p2 = i * args.p2_step
-        rows.append((p2, jam_objective(p1, p2, two, ch.rate_unit)))
+    rows = ((p2, jam_objective(p1, p2, two, ch.rate_unit))
+            for p2 in (i * step for i in range(count)))
     return _csv("p2,objective", rows)
 
 

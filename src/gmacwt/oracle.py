@@ -171,7 +171,7 @@ def verify_sum_rate(ch: StandardChannel, sol: SumRateSolution, steps=None) -> di
     return {"p_star": list(powers), "sum_rate": rate, "gap": gap}
 
 
-def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps) -> dict:
+def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps: int) -> dict:
     """Cross-check ``solve_jamming`` on the two-user channel ``ch`` (users
     in their original order) against the matching grid oracle.
 
@@ -179,9 +179,8 @@ def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps) -> dict:
     optimizer, so it is checked against ``grid_max_sum_rate`` on the
     default grid, within ``SUM_RATE_VERIFY_TOL``.  Any other solution is
     checked against ``grid_max_jamming`` within ``JAMMING_VERIFY_TOL``,
-    on ``max(2, p2_steps(p2_max))`` points of the jamming power axis
-    ``[0, p2_max]``.  ``p2_steps`` is called only then, so a caller may
-    validate its step inside it.
+    on ``max(2, p2_steps)`` points of the jamming power axis
+    ``[0, p2_max]``.
 
     Returns the ``"oracle"`` entry of the CLI's JSON document, whose
     ``kind`` names the oracle; raises InternalError beyond tolerance.
@@ -194,7 +193,7 @@ def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps) -> dict:
                    "jamming dispatch and sum-rate oracle")
         return {"kind": "sum_rate", "p_star": list(powers), "rate": rate, "gap": gap}
     two, _ = TwoUserChannel.from_standard(ch)
-    steps = max(2, p2_steps(two.p2_max))
+    steps = max(2, p2_steps)
     p1, p2, rate = grid_max_jamming(two, GridSpec(steps_per_axis=steps), ch.rate_unit)
     gap = _gap(sol.secrecy_rate, rate, JAMMING_VERIFY_TOL,
                "jamming solver and grid oracle",

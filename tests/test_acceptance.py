@@ -76,7 +76,7 @@ def test_criterion_2_jamming_oracle_equivalence():
         sol = solve_jamming(ch)
         assert sol.case_tag == ("A" if i < 200 else "B")
         std = StandardChannel(h=(ch.h1, ch.h2), p_max=(ch.p1_max, ch.p2_max))
-        oracle = verify_jamming(std, sol, lambda p2_max: int(p2_max / 1e-3) + 1)
+        oracle = verify_jamming(std, sol, int(ch.p2_max / 1e-3) + 1)
         assert oracle["kind"] == "jamming"
         step = ch.p2_max / max(1, int(ch.p2_max / 1e-3))
         p2_gap = abs(sol.p2 - oracle["powers"][1])

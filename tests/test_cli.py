@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gmacwt.cli as cli
-from gmacwt import RateRegion, ValidationError, build_region, channel_from_json, oracle, region
+from gmacwt import RateRegion, build_region, channel_from_json, oracle, region
 
 RAW_DOC = {
     "users": [
@@ -424,10 +423,25 @@ def test_bad_p2_step_exits_1(tmp_path, capsys, argv, step):
     assert err.startswith("error: p2-step: ") and len(err.splitlines()) == 1
 
 
+def test_bad_p2_step_on_a_degenerate_channel_exits_1(tmp_path, capsys):
+    # refused at the command line, though the sum-rate oracle that checks
+    # the degenerate case does not use the jamming grid
+    doc = write(tmp_path, GOOD_DOC)
+    refused = (1, "", "error: p2-step: must be finite and > 0 (got 0.0)\n")
+    assert run(capsys, "jam", doc, "--verify", "--p2-step", "0") == refused
+    assert run(capsys, "sweep", doc, "--kind", "jam", "--p2-step", "0") == refused
+    assert run(capsys, "jam", doc, "--p2-step", "0")[0] == 0  # unused without --verify
+
+
 @pytest.mark.parametrize("users,argv", [
     ([{"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 1e300}], ["jam", "--verify"]),
     (GOOD_DOC["users"], ["sweep", "--kind", "region", "--grid-steps", "100000"]),
     (CASE_A_DOC["users"], ["sweep", "--kind", "jam", "--p2-step", "1e-9"]),
+    # p2_max / step is inf, which int() cannot take
+    ([{"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 1e300}],
+     ["jam", "--verify", "--p2-step", "5e-324"]),
+    ([{"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 1e300}],
+     ["sweep", "--kind", "jam", "--p2-step", "5e-324"]),
 ])
 def test_oversized_grid_exits_1(tmp_path, capsys, users, argv):
     doc = write(tmp_path, {"standard": True, "users": users})
@@ -450,11 +464,37 @@ def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsy
     assert code == 1
     assert out == ""
     assert err.startswith("error: p2-step: 0.001 ") and len(err.splitlines()) == 1
-    fits = float(err.rsplit(" ", 1)[1])
-    args = argparse.Namespace(p2_step=fits)
-    assert int(cli._p2_ratio(args, 12000.0)) + 1 <= 10_000_000
-    with pytest.raises(ValidationError, match="p2-step"):
-        cli._p2_ratio(argparse.Namespace(p2_step=math.nextafter(fits, 0.0)), 12000.0)
+    assert f"more than {region.MAX_GRID_POINTS} grid points" in err
+
+
+def test_jam_sweep_and_oracle_count_the_same_points(tmp_path, capsys, monkeypatch):
+    # 0.3 / 0.1 is 2.9999999999999996, yet both take 4 points; the sweep's
+    # are the multiples i * step themselves
+    doc = write(tmp_path, {"standard": True, "users": [
+        {"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 0.3}]})
+    steps = []
+    real = oracle.grid_max_jamming
+    monkeypatch.setattr(oracle, "grid_max_jamming",
+                        lambda two, spec, unit: steps.append(spec.steps_per_axis)
+                        or real(two, spec, unit))
+    assert run(capsys, "jam", doc, "--verify", "--p2-step", "0.1")[0] == 0
+    assert steps == [4]
+    code, out, _ = run(capsys, "sweep", doc, "--kind", "jam", "--p2-step", "0.1")
+    assert code == 0
+    assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == [
+        i * 0.1 for i in range(4)]
+
+
+def test_jam_verify_axis_ends_at_the_jammer_cap(tmp_path, capsys):
+    # FullJam at p2 = 0.2005: the multiples of 1e-3 stop at 0.2, 3.0e-5
+    # below the closed form, beyond JAMMING_VERIFY_TOL
+    doc = write(tmp_path, {"standard": True, "users": [
+        {"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 0.2005}]})
+    code, out, _ = run(capsys, "jam", doc, "--verify")
+    assert code == 0
+    result = json.loads(out)
+    assert result["branch"] == "FullJam"
+    assert result["oracle"]["powers"] == [10.0, 0.2005]
 
 
 def test_region_sweep_row_cap(tmp_path, capsys):

@@ -109,7 +109,7 @@ def command_lines(draw):
                                         st.sampled_from(["-1", "nan", "inf", "y"]))]
     if command in ("jam", "sweep") and draw(st.booleans()):
         argv += ["--p2-step", _sometimes(draw, st.sampled_from(["0.5", "0.01"]), st.sampled_from(
-            ["0", "-1", "nan", "inf", "1e-300", "z"]))]
+            ["0", "-1", "nan", "inf", "1e-300", "5e-324", "z"]))]
     if _sometimes(draw, st.just(False), st.just(True)):
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-x"])))
     return argv
