@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 
 from .errors import ValidationError
 from .record import Record, setfield
@@ -44,24 +45,37 @@ def _check_user_count(n):
             f"users: must have between 1 and {MAX_USERS} users (got {n})")
 
 
-def _as_float(name, value, positive=False):
-    """``value`` as a float that is finite and >= 0 (> 0 if ``positive``)."""
+def _as_float(name, value, sign=">="):
+    """``value`` as a finite float that is ``>= 0`` or ``> 0`` (``sign``),
+    or of any sign (``sign=None``)."""
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name}: must be a finite number") from None
-    if not (math.isfinite(out) and (out > 0 if positive else out >= 0)):
+    if not (math.isfinite(out) and (sign is None or (out > 0 if sign == ">" else out >= 0))):
         raise ValidationError(
-            f"{name}: must be finite and {'>' if positive else '>='} 0 (got {out})")
+            f"{name}: must be finite{'' if sign is None else f' and {sign} 0'} (got {out})")
     return out
 
 
-def _as_float_tuple(name, values, positive=False):
+def _as_float_tuple(name, values, sign=">=", users=None):
+    """``values`` as a tuple of floats that pass ``_as_float(..., sign)``, in
+    one C-level pass per rule; only a refusal walks them, to name the first
+    bad one.  With ``users``, a wrong length is refused before any value."""
     try:
-        values = tuple(values)
-    except TypeError:
-        raise ValidationError(f"{name}: must be a sequence of numbers") from None
-    return tuple(_as_float(f"{name}[{i}]", v, positive) for i, v in enumerate(values))
+        out = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        out = values if hasattr(values, "__iter__") else ()  # walked below, to word the error
+    else:
+        if users is not None and len(out) != users:
+            raise ValidationError(
+                f"{name}: length {len(out)} does not match the channel's {users} users")
+        if all(map(math.isfinite, out)) and (
+                sign is None or not out or (min(out) > 0 if sign == ">" else min(out) >= 0)):
+            return out
+    for i, v in enumerate(out):
+        _as_float(f"{name}[{i}]", v, sign)
+    raise ValidationError(f"{name}: must be a sequence of numbers")
 
 
 class ChannelParams(Record):
@@ -88,10 +102,10 @@ class ChannelParams(Record):
                             ("gains_to_eavesdropper", gains_to_eavesdropper),
                             ("power_limits", power_limits)):
             setfield(self, name, _as_float_tuple(
-                name, value, positive=name == "gains_to_receiver"))
+                name, value, ">" if name == "gains_to_receiver" else ">="))
         for name, value in (("noise_var_receiver", noise_var_receiver),
                             ("noise_var_eavesdropper", noise_var_eavesdropper)):
-            setfield(self, name, _as_float(name, value, positive=True))
+            setfield(self, name, _as_float(name, value, ">"))
 
         k = len(self.gains_to_receiver)
         _check_user_count(k)
@@ -194,16 +208,29 @@ def sort_by_gain(ch: StandardChannel) -> tuple[StandardChannel, tuple[int, ...]]
 #    "rate_unit": "bits"}
 
 
-def _user_field(users, index, field):
-    user = users[index]
-    if not isinstance(user, dict):
-        raise ValidationError(f"users[{index}]: must be an object")
-    if field not in user:
-        raise ValidationError(f"users[{index}].{field}: required field is missing")
-    value = user[field]
+def _json_number(obj, field, prefix=""):
+    """``obj[field]``, which must be present and a JSON number (a bool is
+    not one); a refusal names ``prefix + field``."""
+    if field not in obj:
+        raise ValidationError(f"{prefix}{field}: required field is missing")
+    value = obj[field]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"users[{index}].{field}: must be a number (got {value!r})")
+        raise ValidationError(f"{prefix}{field}: must be a number (got {value!r})")
     return value
+
+
+def _user_numbers(users, fields):
+    """Every user's number for each of ``fields``, one tuple per field, read
+    field by field; a user that is not an object is refused as its first
+    field is read."""
+    prefixes = [f"users[{i}]." for i in range(len(users))]
+    first = []
+    for i, user in enumerate(users):
+        if not isinstance(user, dict):
+            raise ValidationError(f"users[{i}]: must be an object")
+        first.append(_json_number(user, fields[0], prefixes[i]))
+    return [tuple(first), *(tuple(map(_json_number, users, repeat(field), prefixes))
+                            for field in fields[1:])]
 
 
 def channel_from_json(doc: dict) -> StandardChannel:
@@ -222,25 +249,13 @@ def channel_from_json(doc: dict) -> StandardChannel:
     _check_rate_unit(rate_unit)
 
     if doc.get("standard", False):
-        h = tuple(_user_field(users, i, "h") for i in range(len(users)))
-        p_max = tuple(_user_field(users, i, "power_max") for i in range(len(users)))
+        h, p_max = _user_numbers(users, ("h", "power_max"))
         return StandardChannel(h=h, p_max=p_max, rate_unit=rate_unit)
 
-    for field in ("noise_var_receiver", "noise_var_eavesdropper"):
-        if field not in doc:
-            raise ValidationError(f"{field}: required field is missing")
-        if not isinstance(doc[field], (int, float)) or isinstance(doc[field], bool):
-            raise ValidationError(f"{field}: must be a number (got {doc[field]!r})")
-    raw = ChannelParams(
-        gains_to_receiver=tuple(
-            _user_field(users, i, "gain_receiver") for i in range(len(users))),
-        gains_to_eavesdropper=tuple(
-            _user_field(users, i, "gain_eavesdropper") for i in range(len(users))),
-        noise_var_receiver=doc["noise_var_receiver"],
-        noise_var_eavesdropper=doc["noise_var_eavesdropper"],
-        power_limits=tuple(
-            _user_field(users, i, "power_max") for i in range(len(users))))
-    return standardize(raw, rate_unit=rate_unit)
+    noise = [_json_number(doc, field) for field in ("noise_var_receiver", "noise_var_eavesdropper")]
+    gains_r, gains_e, limits = _user_numbers(
+        users, ("gain_receiver", "gain_eavesdropper", "power_max"))
+    return standardize(ChannelParams(gains_r, gains_e, *noise, limits), rate_unit=rate_unit)
 
 
 def channel_to_json(ch: StandardChannel) -> dict:

@@ -28,7 +28,7 @@ import json
 import math
 import sys
 
-from .channel import StandardChannel, channel_to_json, load_channel
+from .channel import StandardChannel, _as_float, channel_to_json, load_channel
 from .errors import InternalError, ValidationError
 from .region import MAX_GRID_POINTS, _check_grid, _sweep_table, build_region, is_feasible
 
@@ -41,13 +41,6 @@ def _parse_powers(text):
             f"power: expected comma-separated numbers (got {text!r})") from None
 
 
-def _parse_float(name, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"{name}: expected a number (got {text!r})") from None
-
-
 def _p2_points(step, p2_max):
     """The jamming-power grid's point count for ``--p2-step``: the
     multiples of the step from 0 up to ``p2_max``, the last allowed 1e-9
@@ -55,8 +48,7 @@ def _p2_points(step, p2_max):
     sweep and the jamming oracle both take their count from here.  The
     ratio is held to the cap before ``int()``, which an infinite ratio
     would break."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(f"p2-step: must be finite and > 0 (got {step})")
+    step = _as_float("p2-step", step, ">")
     ratio = p2_max / step
     if ratio + 1 > MAX_GRID_POINTS:
         raise ValidationError(
@@ -138,12 +130,13 @@ def _cmd_region(args):
     region = build_region(powers, ch)
     if args.format == "json":
         return _region_json(region)
-    if ch.num_users > 2 or region.vertices is None:
+    vertices = region.vertices  # None above 2 users
+    if vertices is None:
         raise ValidationError(
             "format: CSV vertex output is only available for 1- or 2-user "
             "channels")
     header = ",".join(f"R{k + 1}" for k in range(ch.num_users))
-    return _csv(header, region.vertices)
+    return _csv(header, vertices)
 
 
 def _cmd_maxsum(args):
@@ -185,9 +178,7 @@ def _cmd_sweep(args):
 
     from .jamming import TwoUserChannel, jam_objective
     two, _ = TwoUserChannel.from_standard(ch)
-    p1 = two.p1_max if args.p1 is None else _parse_float("p1", args.p1)
-    if not (math.isfinite(p1) and p1 >= 0):
-        raise ValidationError(f"p1: must be finite and >= 0 (got {p1})")
+    p1 = two.p1_max if args.p1 is None else _as_float("p1", args.p1)
     step = args.p2_step
     count = _p2_points(step, two.p2_max)
     print(

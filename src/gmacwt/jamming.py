@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import StandardChannel, _as_float
+from .channel import StandardChannel, _as_float, _check_rate_unit
 from .errors import ValidationError
 from .record import Record, setfield
 from .region import awgn_capacity
@@ -115,8 +115,7 @@ def jam_objective(p1, p2, ch: TwoUserChannel, unit: str = "bits") -> float:
 
     May be negative; the achievable rate is its positive part.
     """
-    if p1 < 0 or p2 < 0:
-        raise ValidationError(f"powers: must be >= 0 (got p1={p1}, p2={p2})")
+    p1, p2 = _as_float("p1", p1), _as_float("p2", p2)
     return (awgn_capacity(p1 / (1.0 + p2), unit)
             - awgn_capacity(ch.h1 * p1 / (1.0 + ch.h2 * p2), unit))
 
@@ -128,6 +127,7 @@ def p1_stationarity(p2, ch: TwoUserChannel) -> float:
     Negative forces ``p1 = p1_max``, positive forces ``p1 = 0``, zero
     leaves ``p1`` indifferent.  Always negative when ``h1 < 1 <= h2``.
     """
+    p2 = _as_float("p2", p2)
     return -(1.0 + ch.h2 * p2) * ((1.0 - ch.h1) + (ch.h2 - ch.h1) * p2)
 
 
@@ -139,8 +139,7 @@ def jam_roots(p1, ch: TwoUserChannel) -> tuple[float, float, float]:
     p_hi``; ``p_hi`` is the candidate interior jamming power.  ``p_lo``
     is negative whenever ``h1 < 1``.  Requires ``h2 > h1`` and ``h2 >= 1``.
     """
-    if p1 < 0:
-        raise ValidationError(f"p1: must be >= 0 (got {p1})")
+    p1 = _as_float("p1", p1)
     if ch.h2 <= ch.h1:
         raise ValidationError(
             f"h2: stationarity roots need h2 > h1 (got h1={ch.h1}, h2={ch.h2})")
@@ -150,7 +149,7 @@ def jam_roots(p1, ch: TwoUserChannel) -> tuple[float, float, float]:
     h1, h2 = ch.h1, ch.h2
     disc = h1 * h2 * ((h2 - 1.0) + (h2 - h1) * p1) * (h2 - 1.0)
     p_lo = (-h2 * (1.0 - h1) - math.sqrt(disc)) / (h2 * (h2 - h1))
-    return disc, p_lo, _p_hi(float(p1), h1, h2)
+    return disc, p_lo, _p_hi(p1, h1, h2)
 
 
 def _p_hi(p1, h1, h2):
@@ -187,6 +186,7 @@ def p2_stationarity(p1, p2, ch: TwoUserChannel) -> float:
     partial derivative in ``p2`` (an upright parabola; the objective
     increases strictly between the roots and decreases outside)."""
     _, p_lo, p_hi = jam_roots(p1, ch)
+    p2 = _as_float("p2", p2)
     return p1 * ch.h2 * (ch.h2 - ch.h1) * (p2 - p_hi) * (p2 - p_lo)
 
 
@@ -231,6 +231,7 @@ def solve_jamming(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
     ``[0, p2_max]``: ``NoJam``, ``InteriorRoot`` (``p_hi <= p2_max``, ties
     included) or ``FullJam``.
     """
+    _check_rate_unit(unit)
     if ch.h2 < 1.0:
         global _max_sum_rate
         if _max_sum_rate is None:
@@ -248,7 +249,8 @@ def solve_jamming(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
         return JammingSolution(0.0, 0.0, 0.0, BRANCH_ALL_SILENT, CASE_B, unit)
     else:
         case = CASE_B
-    p_hi = jam_roots(ch.p1_max, ch)[2] if ch.p1_max > 0.0 else 0.0
+    # The regime checks above are jam_roots' preconditions: h2 > h1, h2 >= 1.
+    p_hi = _p_hi(ch.p1_max, ch.h1, ch.h2) if ch.p1_max > 0.0 else 0.0
     if p_hi <= 0.0:
         p2, branch = 0.0, BRANCH_NO_JAM
     elif p_hi <= ch.p2_max:

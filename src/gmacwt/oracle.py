@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .channel import StandardChannel
+from .channel import StandardChannel, _check_rate_unit
 from .errors import InternalError, ValidationError
 from .record import Record, setfield
 from .region import _axis_blocks, _capacities, _check_grid, _grid_axis, _infeasible
@@ -128,6 +128,7 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     -------
     (p1, p2, rate) : (float, float, float)
     """
+    _check_rate_unit(unit)
     _check_grid("steps_per_axis", spec.steps_per_axis, 1)
 
     p1 = ch.p1_max

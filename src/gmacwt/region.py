@@ -27,7 +27,7 @@ from collections import deque
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
-from .channel import StandardChannel
+from .channel import StandardChannel, _as_float_tuple, _check_rate_unit
 from .errors import ValidationError
 from .record import Record, setfield
 
@@ -73,13 +73,13 @@ def awgn_capacity(snr: float, unit: str = "bits") -> float:
     Strictly increasing in ``snr`` with value 0 at 0.  ``unit`` selects
     log base 2 ("bits") or natural log ("nats").
     """
-    if snr < 0:
+    if not snr >= 0:  # also refuses NaN; inf has capacity inf
         raise ValidationError(f"snr: must be >= 0 (got {snr})")
     if unit == "bits":
         return 0.5 * math.log1p(snr) / math.log(2)
     if unit == "nats":
         return 0.5 * math.log1p(snr)
-    raise ValidationError(f"rate_unit: must be one of ['bits', 'nats'] (got {unit!r})")
+    _check_rate_unit(unit)  # raises: the unit is neither
 
 
 def _capacities(snr: np.ndarray, unit: str) -> np.ndarray:
@@ -161,23 +161,13 @@ def _subset_users(k: int) -> list[tuple[int, ...]]:
 
 
 def _finite_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
-    p = tuple(map(float, powers))
-    if len(p) != ch.num_users:
-        raise ValidationError(
-            f"powers: length {len(p)} does not match the channel's "
-            f"{ch.num_users} users")
-    if not all(map(math.isfinite, p)):
-        i = next(i for i, v in enumerate(p) if not math.isfinite(v))
-        raise ValidationError(f"powers[{i}]: must be finite (got {p[i]})")
-    return p
+    """``powers`` as one finite float per user of ``ch``, of any sign."""
+    return _as_float_tuple("powers", powers, None, ch.num_users)
 
 
 def _checked_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
-    p = _finite_powers(powers, ch)
-    for i, v in enumerate(p):
-        if v < 0:
-            raise ValidationError(f"powers[{i}]: must be >= 0 (got {v})")
-    return p
+    """``powers`` as one finite float >= 0 per user of ``ch``."""
+    return _as_float_tuple("powers", powers, ">=", ch.num_users)
 
 
 def _subset_indices(subset, num_users) -> tuple[int, ...]:

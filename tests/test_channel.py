@@ -25,6 +25,7 @@ def test_standardize_two_user_exact():
         noise_var_receiver=2,
         noise_var_eavesdropper=1,
         power_limits=(5, 10))
+    assert raw.num_users == 2
     ch = standardize(raw)
     assert ch.h == (0.5, 4.0)
     assert ch.p_max == (10.0, 5.0)
@@ -135,6 +136,7 @@ def test_user_count_cap():
     (dict(h=(0.5, 0.5), p_max=(1.0, math.inf)), r"p_max\[1\]: must be finite"),
     (dict(h=(0.5, 0.7), p_max=(1e308, 1e308)), "p_max: the users' total overflows"),
     (dict(h=(1e10, 0.7), p_max=(1e300, 1.0)), r"h\*p_max: the users' total overflows"),
+    (dict(h=5, p_max=(1.0,)), "h: must be a sequence of numbers"),
 ])
 def test_non_finite_and_overflowing_channels_rejected(kwargs, match):
     with pytest.raises(ValidationError, match=match):
@@ -214,6 +216,14 @@ def test_channel_from_json_standard_and_roundtrip():
     ({"users": [{"gain_receiver": 1, "gain_eavesdropper": 1, "power_max": 10 ** 400}],
       "noise_var_receiver": 1, "noise_var_eavesdropper": 1},
      r"power_limits\[0\]: must be a finite number"),
+    ({"users": [1], "noise_var_receiver": 1, "noise_var_eavesdropper": 1},
+     r"users\[0\]: must be an object"),
+    ({"users": [{"gain_receiver": 1, "gain_eavesdropper": 1, "power_max": 1}],
+      "noise_var_receiver": "2", "noise_var_eavesdropper": 1},
+     "noise_var_receiver: must be a number"),
+    ({"users": [{"gain_receiver": 1e-300, "gain_eavesdropper": 1, "power_max": 1}],
+      "noise_var_receiver": 1, "noise_var_eavesdropper": 1e-300},
+     "h: gain_receiver \\* noise_var_eavesdropper underflows to 0"),
 ])
 def test_channel_from_json_validation(doc, field):
     with pytest.raises(ValidationError, match=field):

@@ -398,6 +398,16 @@ def test_non_finite_output_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: ") and "Traceback" not in err
 
 
+def test_non_finite_jam_sweep_exits_2(tmp_path, capsys, monkeypatch):
+    from gmacwt import jamming
+    monkeypatch.setattr(jamming, "jam_objective", lambda p1, p2, ch, unit: math.nan)
+    code, out, err = run(capsys, "sweep", write(tmp_path, CASE_A_DOC), "--kind", "jam")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("internal error: non-finite value nan")
+    assert "Traceback" not in err
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     channel = write(tmp_path, CASE_A_DOC)
     for argv in (

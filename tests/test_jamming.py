@@ -109,6 +109,19 @@ def test_jam_roots_validation():
         jam_roots(1.0, TwoUserChannel(h1=0.1, h2=0.9, p1_max=1, p2_max=1))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_powers_rejected(value):
+    with pytest.raises(ValidationError, match="p1: must be finite and >= 0"):
+        jam_roots(value, CASE_A_CH)
+    for p1, p2, name in ((value, 1.0, "p1"), (1.0, value, "p2")):
+        with pytest.raises(ValidationError, match=f"{name}: must be finite and >= 0"):
+            jam_objective(p1, p2, CASE_A_CH)
+    for call in (lambda: p1_stationarity(value, CASE_A_CH),
+                 lambda: p2_stationarity(1.0, value, CASE_A_CH)):
+        with pytest.raises(ValidationError, match="p2: must be finite and >= 0"):
+            call()
+
+
 def test_p2_stationarity_matches_numeric_derivative():
     # The stationarity numerator equals the p2-derivative of the negated
     # SNR-product ratio times (1+p2)^2 * (1+h1*p1+h2*p2)^2.
@@ -174,6 +187,8 @@ def test_solve_case_b_all_silent():
     assert sol.branch == "AllSilent"
     assert sol.case_tag == "B"
     assert silence_threshold(CASE_B_CH) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValidationError, match="threshold applies to 1 <= h1 < h2"):
+        silence_threshold(CASE_A_CH)
 
 
 def test_solve_case_b_full_jam():
@@ -281,6 +296,20 @@ def test_case_b_root_exceeds_silence_threshold():
     for _ in range(100):
         ch = random_case_b(gen, p_low=1e-3)
         assert jam_roots(ch.p1_max, ch)[2] > silence_threshold(ch) - 1e-12
+
+
+@pytest.mark.parametrize("ch", [
+    TwoUserChannel(h1=0.2, h2=0.6, p1_max=3, p2_max=1),     # degenerate, NoJam
+    TwoUserChannel(h1=1.3, h2=1.3, p1_max=10, p2_max=10),   # degenerate, AllSilent
+    TwoUserChannel(h1=1.2, h2=1.4, p1_max=10, p2_max=0.5),  # case B, AllSilent
+    TwoUserChannel(h1=1.2, h2=1.4, p1_max=0, p2_max=20),    # case B, no transmit power
+    CASE_A_CH,
+    CASE_B_CH,
+    TwoUserChannel(h1=0.4, h2=1.4, p1_max=0, p2_max=10),    # case A, NoJam
+])
+def test_solve_jamming_refuses_a_bad_rate_unit(ch):
+    with pytest.raises(ValidationError, match="rate_unit: must be one of"):
+        solve_jamming(ch, "dB")
 
 
 def test_solution_rate_unit_passthrough():

@@ -80,6 +80,13 @@ def test_grid_jamming_zero_transmit_power():
     assert grid_max_jamming(ch, GridSpec(steps_per_axis=11)) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("p1_max", [10, 0])
+def test_grid_jamming_refuses_a_bad_rate_unit(p1_max):
+    ch = TwoUserChannel(h1=0.4, h2=1.4, p1_max=p1_max, p2_max=10)
+    with pytest.raises(ValidationError, match="rate_unit: must be one of"):
+        grid_max_jamming(ch, GridSpec(steps_per_axis=11), "dB")
+
+
 def test_oracle_never_beats_closed_form():
     gen = rng(51)
     for _ in range(20):

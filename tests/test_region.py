@@ -12,6 +12,7 @@ from gmacwt.region import (
     secrecy_slack,
     subset_rates,
 )
+from gmacwt.sumrate import prune_bad_users, snr_ratio, sum_secrecy_rate
 
 from helpers import random_box_powers, random_channel, random_feasible_powers, rng
 
@@ -44,6 +45,8 @@ def test_capacity_is_increasing():
 def test_capacity_rejects_negative_snr():
     with pytest.raises(ValidationError, match="snr"):
         awgn_capacity(-0.1)
+    with pytest.raises(ValidationError, match="snr"):
+        awgn_capacity(math.nan)
     with pytest.raises(ValidationError, match="rate_unit"):
         awgn_capacity(1.0, "dB")
 
@@ -176,6 +179,21 @@ def test_non_finite_powers_rejected(powers):
             call(powers, ch)
 
 
+@pytest.mark.parametrize("powers,match", [
+    ((None, 1.0), r"powers\[0\]: must be a finite number"),
+    (("a", 1.0), r"powers\[0\]: must be a finite number"),
+    (5, "powers: must be a sequence of numbers"),
+    ((10 ** 400, 1.0), r"powers\[0\]: must be a finite number"),
+])
+def test_non_numeric_powers_rejected(powers, match):
+    ch = StandardChannel(h=(0.5, 0.5), p_max=(1, 1))
+    for call in (is_feasible, build_region, sum_secrecy_rate, snr_ratio, prune_bad_users,
+                 lambda p, c: secrecy_slack((0,), p, c),
+                 lambda p, c: subset_rates((0, 1), p, c)):
+        with pytest.raises(ValidationError, match=match):
+            call(powers, ch)
+
+
 @pytest.mark.parametrize("bounds,vertices", [
     ((1.0, 1.0, 3.0), ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
     ((2.0, 2.0, 3.0), ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 2.0))),
@@ -190,6 +208,16 @@ def test_two_user_vertices_closed_form(bounds, vertices):
     # rectangle, pentagon, quadrilateral, triangle, then degenerate cases:
     # a segment, a bound within tolerance of 0, a point, a negative bound
     assert _vertices(list(bounds)) == vertices
+
+
+@pytest.mark.parametrize("bounds,shape", [
+    ((1.0, 1.0, 3.0), "rectangle"),
+    ((2.0, 2.0, 3.0), "pentagon"),
+    ((1.0, 3.0, 2.0), "quadrilateral"),
+    ((1.0, 1.0, 0.5), "triangle"),
+])
+def test_classify_two_user_shape(bounds, shape):
+    assert classify_two_user_shape(*bounds) == shape
 
 
 def test_build_region_two_user_triangle():
