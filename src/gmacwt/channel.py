@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from itertools import repeat
 
 from .errors import ValidationError
@@ -56,6 +57,15 @@ def _as_float(name, value, sign=">="):
         raise ValidationError(
             f"{name}: must be finite{'' if sign is None else f' and {sign} 0'} (got {out})")
     return out
+
+
+def _as_int(name, value):
+    """``value`` as an int: ints and numpy ints pass (``operator.index``),
+    floats, strings and None are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name}: must be an integer (got {value!r})") from None
 
 
 def _as_float_tuple(name, values, sign=">=", users=None):

@@ -16,7 +16,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .channel import StandardChannel, _check_rate_unit
-from .errors import InternalError, ValidationError
+from .errors import InternalError
 from .record import Record, setfield
 from .region import _axis_blocks, _capacities, _check_grid, _grid_axis, _infeasible
 
@@ -37,15 +37,13 @@ class GridSpec(Record):
     Each axis is ``{0, step, ..., p_max}`` with ``step = p_max /
     (steps_per_axis - 1)``: ``steps_per_axis`` uniform points whose first
     and last are exactly 0 and ``p_max`` (the grid of ``union_sweep``).
+    The count is an integer from 2 to ``MAX_GRID_POINTS``, one axis's cap.
     """
 
     __slots__ = ("steps_per_axis",)
 
     def __init__(self, steps_per_axis=11):
-        if steps_per_axis < 2:
-            raise ValidationError(
-                f"steps_per_axis: must be >= 2 (got {steps_per_axis})")
-        setfield(self, "steps_per_axis", steps_per_axis)
+        setfield(self, "steps_per_axis", _check_grid("steps_per_axis", steps_per_axis, 1))
 
 
 #: Grid points evaluated at once; bounds the oracles' memory and keeps
@@ -118,9 +116,9 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     ``p2``, so only ``p1 = p1_max`` is evaluated, and it replaces the
     silent point ``(0, 0)`` only where its rate is strictly positive.
 
-    That is one evaluated point per jamming power, so ``steps_per_axis``
-    itself is held to ``MAX_GRID_POINTS``.  The axis is evaluated in
-    slices of ``_BLOCK_ENTRIES`` points, so memory does not grow with it;
+    That is one evaluated point per jamming power, so ``GridSpec``'s cap
+    of one axis is the grid's.  The axis is evaluated in slices of
+    ``_BLOCK_ENTRIES`` points, so memory does not grow with it;
     a slice's best point replaces the best so far only if strictly
     greater, which keeps the first (smallest ``p2``) maximum.
 
@@ -129,7 +127,6 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     (p1, p2, rate) : (float, float, float)
     """
     _check_rate_unit(unit)
-    _check_grid("steps_per_axis", spec.steps_per_axis, 1)
 
     p1 = ch.p1_max
     best = (0.0, 0.0, 0.0)

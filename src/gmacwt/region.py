@@ -27,7 +27,7 @@ from collections import deque
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
-from .channel import StandardChannel, _as_float_tuple, _check_rate_unit
+from .channel import StandardChannel, _as_float_tuple, _as_int, _check_rate_unit
 from .errors import ValidationError
 from .record import Record, setfield
 
@@ -48,7 +48,7 @@ _VERTEX_TOL = 1e-12
 MAX_GRID_POINTS = 10_000_000
 
 #: Cap on the grid points of ``union_sweep``, which keeps a ``RateRegion``
-#: per feasible point: about 0.48 KB each at peak, measured as 197 MB of
+#: per feasible point: about 0.46 KB each at peak, measured as 191 MB of
 #: peak RSS (27 MB of it the interpreter with numpy) for the 360,000 rows
 #: of an all-feasible 600-step sweep.  The CLI's region sweep writes its
 #: CSV from ``_sweep_table`` instead, at 131 MB of peak RSS for the same
@@ -57,14 +57,16 @@ MAX_SWEEP_POINTS = 1_000_000
 
 
 def _check_grid(name, steps, axes, cap=MAX_GRID_POINTS):
-    """Refuse a grid of ``steps`` points on each of ``axes`` axes if
-    ``steps < 2`` or the grid holds more than ``cap`` points; the message
-    names the caller's argument ``name``."""
+    """``steps`` as an int, the points on each of ``axes`` axes of a grid;
+    refused if not an integer, below 2, or if the grid holds more than
+    ``cap`` points.  The message names the caller's argument ``name``."""
+    steps = _as_int(name, steps)
     if steps < 2:
         raise ValidationError(f"{name}: must be >= 2 (got {steps})")
     if steps ** axes > cap:
         raise ValidationError(
             f"{name}: grid would have {steps ** axes} points (cap {cap})")
+    return steps
 
 
 def awgn_capacity(snr: float, unit: str = "bits") -> float:
@@ -171,7 +173,10 @@ def _checked_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
 
 
 def _subset_indices(subset, num_users) -> tuple[int, ...]:
-    idx = sorted(set(int(k) for k in subset))
+    try:
+        idx = sorted({_as_int("subset", k) for k in subset})
+    except TypeError:  # not iterable
+        raise ValidationError("subset: must be a sequence of user indices") from None
     if not idx:
         raise ValidationError("subset: must be nonempty")
     if idx[0] < 0 or idx[-1] >= num_users:
@@ -328,11 +333,7 @@ class RateRegion(Record):
     def contains(self, rates) -> bool:
         """True iff the (componentwise nonnegative) rate vector satisfies
         every halfspace within CONTAINS_TOL."""
-        r = tuple(float(x) for x in rates)
-        if len(r) != self.num_users:
-            raise ValidationError(
-                f"rates: length {len(r)} does not match the region's "
-                f"{self.num_users} users")
+        r = _as_float_tuple("rates", rates, None, self.num_users)
         sums = [0.0]  # every subset's rate sum, in bitmask order, by doubling
         for x in r:
             sums += [s + x for s in sums]
@@ -429,12 +430,13 @@ def _axis_blocks(p_max: float, steps: int, size: int):
     ``i * step``, with the last point ``p_max`` itself, so ``(steps - 1) *
     step``, which may overflow, is never formed.  When the step is below
     the smallest normal float (``p_max`` is 0 or tiny), rounding can
-    repeat points, so the whole axis is built and its repeats dropped.
+    repeat points or carry ``i * step`` past ``p_max``, so the whole axis
+    is built, clipped at ``p_max`` and its repeats dropped.
     """
     import numpy as np
     step = p_max / (steps - 1)
     if not step >= sys.float_info.min:
-        axis = np.linspace(0.0, p_max, steps)
+        axis = np.minimum(np.linspace(0.0, p_max, steps), p_max)
         axis = axis[np.append(True, np.diff(axis) > 0)]
         yield from (axis[i:i + size] for i in range(0, len(axis), size))
         return
@@ -454,26 +456,20 @@ def _grid_axis(p_max: float, steps: int) -> np.ndarray:
     return next(_axis_blocks(p_max, steps, steps))
 
 
-def _sweep_points(ch: StandardChannel, grid_steps: int) -> np.ndarray:
-    """The feasible points of ``union_sweep``'s grid, one per row, in
-    ascending ``(P1, P2)`` order."""
+def _sweep_table(ch: StandardChannel, grid_steps: int) -> np.ndarray:
+    """``union_sweep`` as one array: a row ``(P1, P2, b1, b2, b12)`` per
+    feasible grid point, in ascending ``(P1, P2)`` order.  The CLI's
+    region sweep and ``union_sweep`` both read it."""
     if ch.num_users != 2:
         raise ValidationError(
             f"users: region sweep requires exactly 2 users (got {ch.num_users})")
-    _check_grid("grid_steps", grid_steps, 2, MAX_SWEEP_POINTS)
+    grid_steps = _check_grid("grid_steps", grid_steps, 2, MAX_SWEEP_POINTS)
     import numpy as np
     p1, p2 = (_grid_axis(p, grid_steps) for p in ch.p_max)
     columns = [p1[:, None], p2]  # the grid by broadcasting, P1 down and P2 across
     feasible = ~_infeasible(columns, [g * x for g, x in zip(ch.h, columns)], ch.h)
     i, j = np.nonzero(feasible)  # row-major, i.e. ascending (P1, P2), order
-    return np.stack([p1[i], p2[j]], axis=1)
-
-
-def _sweep_table(ch: StandardChannel, grid_steps: int) -> np.ndarray:
-    """``union_sweep`` as one array: a row ``(P1, P2, b1, b2, b12)`` per
-    feasible grid point, in ascending ``(P1, P2)`` order."""
-    import numpy as np
-    points = _sweep_points(ch, grid_steps)
+    points = np.stack([p1[i], p2[j]], axis=1)
     return np.concatenate([points, _bounds(_subset_table(points, ch.h), ch.rate_unit)], axis=1)
 
 
@@ -491,14 +487,13 @@ def union_sweep(ch: StandardChannel, grid_steps: int):
     -------
     list of ((P1, P2), RateRegion)
     """
-    points = _sweep_points(ch, grid_steps)
-    columns = _bounds(_subset_table(points, ch.h), ch.rate_unit).T.tolist()
+    p1, p2, *bounds = _sweep_table(ch, grid_steps).T.tolist()
     # Each pass below runs in C over every row: the regions are made bare
     # and filled one slot at a time, which is faster than the constructor
     # or a Python loop per row.
-    regions = list(map(RateRegion.__new__, repeat(RateRegion, len(points))))
-    for slot, values in ((RateRegion.bounds, zip(*columns)),
+    regions = list(map(RateRegion.__new__, repeat(RateRegion, len(p1))))
+    for slot, values in ((RateRegion.bounds, zip(*bounds)),
                          (RateRegion.feasible, repeat(True)),
                          (RateRegion.rate_unit, repeat(ch.rate_unit))):
         deque(map(slot.__set__, regions, values), maxlen=0)
-    return list(zip(zip(*points.T.tolist()), regions))
+    return list(zip(zip(p1, p2), regions))

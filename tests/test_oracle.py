@@ -17,6 +17,7 @@ from gmacwt import (
     max_sum_rate,
     oracle,
     solve_jamming,
+    union_sweep,
     verify_jamming,
     verify_sum_rate,
 )
@@ -376,6 +377,27 @@ def test_grid_axis_is_linspace_without_its_overflow(p_max, steps):
     with np.errstate(over="raise"):
         axis = _grid_axis(p_max, steps)
     assert np.array_equal(axis.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_a_subnormal_grid_axis_ends_at_p_max(k):
+    """With a subnormal step, ``i * step`` rounds and may pass ``p_max``
+    (``9 * 5e-324`` at 7 steps gives 5e-323); no point may lie above the
+    cap, and the cap itself stays on the axis."""
+    p_max = k * 5e-324
+    for steps in range(2, 13):
+        axis = _grid_axis(p_max, steps)
+        assert np.all(np.diff(axis) > 0)
+        assert axis.max() <= p_max
+        assert axis[-1] == p_max
+
+
+def test_oracles_and_sweep_stay_inside_a_subnormal_cap():
+    p_max = 9 * 5e-324
+    powers, _ = grid_max_sum_rate(StandardChannel(h=(0.5,), p_max=(p_max,)), GridSpec(7))
+    assert powers[0] <= p_max
+    rows = union_sweep(StandardChannel(h=(0.5, 0.5), p_max=(p_max, p_max)), 7)
+    assert max(p1 for (p1, _), _ in rows) == p_max
 
 
 def test_jamming_grid_cap_counts_one_point_per_jamming_power():

@@ -152,6 +152,9 @@ def test_fields_are_normalized_on_construction():
     (lambda: StandardChannel((0.1,) * 17, (1.0,) * 17), "users: must have between 1 and 16"),
     (lambda: GridSpec(1), r"steps_per_axis: must be >= 2 \(got 1\)"),
     (lambda: GridSpec(steps_per_axis=-3), r"steps_per_axis: must be >= 2 \(got -3\)"),
+    (lambda: GridSpec(2.5), r"steps_per_axis: must be an integer \(got 2.5\)"),
+    (lambda: GridSpec("x"), r"steps_per_axis: must be an integer \(got 'x'\)"),
+    (lambda: GridSpec(None), r"steps_per_axis: must be an integer \(got None\)"),
     (lambda: TwoUserChannel(1.5, 0.5, 1.0, 1.0), "h1: must be <= h2"),
     (lambda: TwoUserChannel(0.1, 0.5, -1.0, 1.0), "p1_max"),
     (lambda: TwoUserChannel(0.1, float("nan"), 1.0, 1.0), "h2"),
@@ -159,6 +162,13 @@ def test_fields_are_normalized_on_construction():
 def test_construction_validates(build, match):
     with pytest.raises(ValidationError, match=match):
         build()
+
+
+def test_grid_spec_takes_numpy_integers_as_ints():
+    import numpy as np
+    spec = GridSpec(np.int64(7))
+    assert spec == GridSpec(7)
+    assert type(spec.steps_per_axis) is int
 
 
 def test_every_public_name_resolves():

@@ -80,6 +80,20 @@ def test_subset_rates_rejects_empty_subset():
         subset_rates((2,), (10, 10), CH2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: subset_rates(("a",), (10, 10), CH2),
+    lambda: subset_rates((0.7,), (10, 10), CH2),
+    lambda: subset_rates(0, (10, 10), CH2),
+    lambda: secrecy_slack((None,), (10, 10), CH2),
+    lambda: build_region((10, 10), CH2).bound((1.9,)),
+])
+def test_subset_indices_must_be_integers(call):
+    """A float index is refused, not truncated to a user (0.7 to user 0,
+    1.9 to user 1), and so is a string or a non-iterable subset."""
+    with pytest.raises(ValidationError, match="^subset: must be"):
+        call()
+
+
 def test_interference_never_helps():
     gen = rng(22)
     for _ in range(50):
@@ -321,6 +335,23 @@ def test_contains_rejects_wrong_length():
         region.contains((1.0,))
 
 
+@pytest.mark.parametrize("rates,match", [
+    ((None, 1.0), r"rates\[0\]: must be a finite number"),
+    ((math.nan, 0.0), r"rates\[0\]: must be finite \(got nan\)"),
+    ((0.0, math.inf), r"rates\[1\]: must be finite \(got inf\)"),
+    (("a", 1.0), r"rates\[0\]: must be a finite number"),
+    (5, "rates: must be a sequence of numbers"),
+])
+def test_contains_refuses_a_rate_vector_that_is_not_finite_numbers(rates, match):
+    """A NaN rate is refused, not answered False."""
+    with pytest.raises(ValidationError, match=match):
+        build_region((10, 10), CH2).contains(rates)
+
+
+def test_contains_takes_rates_of_any_sign():
+    assert build_region((10, 10), CH2).contains((-1.0, 0.5))
+
+
 def test_vertices_inside_and_facet_perturbations_outside():
     gen = rng(28)
     for _ in range(50):
@@ -400,3 +431,9 @@ def test_union_sweep_requires_two_users():
         union_sweep(StandardChannel(h=(0.5,), p_max=(1,)), 5)
     with pytest.raises(ValidationError, match="grid_steps"):
         union_sweep(CH2, 1)
+
+
+@pytest.mark.parametrize("steps", [2.5, "3", None])
+def test_union_sweep_refuses_a_step_count_that_is_not_an_integer(steps):
+    with pytest.raises(ValidationError, match="grid_steps: must be an integer"):
+        union_sweep(CH2, steps)

@@ -22,7 +22,7 @@ from gmacwt.region import (
     _bounds,
     _subset_table,
     _subset_users,
-    _sweep_points,
+    _sweep_table,
     _vertices,
     secrecy_slack,
     subset_rates,
@@ -123,7 +123,7 @@ def test_union_sweep_rows_equal_build_region(case, steps):
 def _union_sweep_row_by_row(ch, steps):
     """``union_sweep`` built one row at a time, as a Python conversion per
     point and per bound row."""
-    points = _sweep_points(ch, steps)
+    points = _sweep_table(ch, steps)[:, :2]
     rows = _bounds(_subset_table(points, ch.h), ch.rate_unit).tolist()
     return [(tuple(pt), RateRegion(tuple(row), True, ch.rate_unit))
             for pt, row in zip(points.tolist(), rows)]
