@@ -247,7 +247,8 @@ def channel_from_json(doc: dict) -> StandardChannel:
     """Build a :class:`StandardChannel` from a channel JSON document.
 
     Raw documents are standardized; documents with ``"standard": true``
-    supply ``h``/``power_max`` directly.
+    supply ``h``/``power_max`` directly.  ``"standard"``, if present, must
+    be a JSON boolean.
     """
     if not isinstance(doc, dict):
         raise ValidationError("channel document: must be a JSON object")
@@ -258,7 +259,10 @@ def channel_from_json(doc: dict) -> StandardChannel:
     rate_unit = doc.get("rate_unit", "bits")
     _check_rate_unit(rate_unit)
 
-    if doc.get("standard", False):
+    standard = doc.get("standard", False)
+    if not isinstance(standard, bool):  # no truthiness, as _json_number refuses a bool
+        raise ValidationError(f"standard: must be true or false (got {standard!r})")
+    if standard:
         h, p_max = _user_numbers(users, ("h", "power_max"))
         return StandardChannel(h=h, p_max=p_max, rate_unit=rate_unit)
 

@@ -118,7 +118,7 @@ def _cmd_feasible(args):
 
 def _cmd_region(args):
     ch = _load(args)
-    powers = args.power.split(",") if args.power else ch.p_max
+    powers = ch.p_max if args.power is None else args.power.split(",")
     region = build_region(powers, ch)
     if args.format == "json":
         return _region_json(region)

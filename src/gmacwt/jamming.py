@@ -28,7 +28,7 @@ import math
 from .channel import StandardChannel, _as_float, _check_rate_unit
 from .errors import ValidationError
 from .record import Record, setfield
-from .region import awgn_capacity
+from .region import _secrecy_rate
 
 BRANCH_NO_JAM = "NoJam"
 BRANCH_INTERIOR_ROOT = "InteriorRoot"
@@ -113,11 +113,16 @@ class JammingSolution(Record):
 def jam_objective(p1, p2, ch: TwoUserChannel, unit: str = "bits") -> float:
     """User 1's secrecy rate when user 2 transmits noise at power ``p2``.
 
-    May be negative; the achievable rate is its positive part.
+    May be negative; the achievable rate is its positive part.  It is the
+    one log ``C(N / D)`` with ``N = p1 ((1 - h1) + (h2 - h1) p2)`` and
+    ``D = (1 + p2)(1 + h1 p1 + h2 p2)``, whose terms do not cancel in case
+    A, also for gains next to 1.
     """
     p1, p2 = _as_float("p1", p1), _as_float("p2", p2)
-    return (awgn_capacity(p1 / (1.0 + p2), unit)
-            - awgn_capacity(ch.h1 * p1 / (1.0 + ch.h2 * p2), unit))
+    h1, h2 = ch.h1, ch.h2
+    return _secrecy_rate(p1 * ((1.0 - h1) + (h2 - h1) * p2),
+                         (1.0 + p2) * (1.0 + h1 * p1 + h2 * p2),
+                         p1 / (1.0 + p2), h1 * p1 / (1.0 + h2 * p2), unit)
 
 
 def p1_stationarity(p2, ch: TwoUserChannel) -> float:

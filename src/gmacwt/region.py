@@ -13,7 +13,9 @@ every subset, which is exactly the condition ``main(S) >= tap_intf(S)``.
 Membership in the allowable set is decided on the K prefixes of the users
 sorted by gain (``_violated_prefixes``), for one point or a broadcast grid.
 Region bounds are read from one table of every subset's power sums, built
-for a block of power points at once (``_subset_table``).  numpy is
+for a block of power points at once (``_subset_table``), each as one log
+of the rate kernel (``_secrecy_rate``, which the sum rate and the jamming
+objective take too).  numpy is
 imported inside the functions that build arrays, not at module level, so
 the closed forms (``sumrate``, ``jamming``) and the CLI start without it.
 """
@@ -77,50 +79,93 @@ def awgn_capacity(snr: float, unit: str = "bits") -> float:
     """
     if not snr >= 0:  # also refuses NaN; inf has capacity inf
         raise ValidationError(f"snr: must be >= 0 (got {snr})")
+    return _capacity(snr, unit)
+
+
+def _capacity(x: float, unit: str) -> float:
+    """``C(x) = 0.5 * log1p(x)`` in ``unit``, for any ``x > -1``."""
     if unit == "bits":
-        return 0.5 * math.log1p(snr) / math.log(2)
+        return 0.5 * math.log1p(x) / math.log(2)
     if unit == "nats":
-        return 0.5 * math.log1p(snr)
+        return 0.5 * math.log1p(x)
     _check_rate_unit(unit)  # raises: the unit is neither
 
 
-def _capacities(snr: np.ndarray, unit: str) -> np.ndarray:
-    """``awgn_capacity`` of every entry of an array of SNRs."""
+def _capacities(x: np.ndarray, unit: str) -> np.ndarray:
+    """``_capacity`` of every entry of an array."""
     import numpy as np
-    nats = 0.5 * np.log1p(snr)
+    nats = 0.5 * np.log1p(x)
     return nats / math.log(2) if unit == "bits" else nats
+
+
+def _secrecy_rate(n: float, d: float, main: float, tap: float, unit: str) -> float:
+    """``C(main) - C(tap)`` as one log, ``C(n / d)``.
+
+    Every closed-form secrecy rate is such a difference, ``C(a / (1 +
+    c_m)) - C(b / (1 + c_t))``, and equals ``C(N / D)`` with ``N = a (1 +
+    c_t) - b (1 + c_m)`` and ``D = (1 + c_m)(1 + c_t + b)``.  The caller
+    forms ``N`` from terms such as ``P_k (1 - h_k)``, in which a gain near
+    1 loses nothing (``1 - h_k`` is exact for ``h_k`` in [1/2, 2]), where
+    the difference of two nearly equal capacities cancels.  Where ``n / d <
+    -1/2``, at which ``1 + n / d`` cancels instead (or rounds to 0), or
+    where ``n`` or ``d`` overflowed, the difference itself is returned,
+    which is finite and well-conditioned there.  ``_bounds`` is the same
+    rule for arrays.
+    """
+    x = n / d + 0.0  # + 0.0: a zero numerator of either sign is the rate +0.0
+    if -0.5 <= x < math.inf and d < math.inf:
+        return _capacity(x, unit)
+    return awgn_capacity(main, unit) - awgn_capacity(tap, unit)
 
 
 def _bounds(table, unit):
     """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of every
     nonempty subset at each point of a subset table: one point per row,
-    in bitmask order."""
-    s_p, s_hp, c_hp = (sums[1:] for sums in table)
-    return (_capacities(s_p, unit) - _capacities(s_hp / (1.0 + c_hp), unit)).T
+    in bitmask order.
+
+    Each is ``_secrecy_rate``'s one log ``C(N / D)``, with ``N =
+    sum(P_k (1 - h_k), S) + P_S hP_{S^c}`` and ``D = 1 + T``, where ``T =
+    sum(h_k P_k)`` is the full set's sum, one value per point; the
+    difference where ``N / D < -1/2`` or ``N`` or ``D`` overflowed.
+    """
+    import numpy as np
+    s_p, s_hp, c_hp, s_gap = (sums[1:] for sums in table)
+    d = 1.0 + s_hp[-1]
+    with np.errstate(all="ignore"):  # the entries that warn are replaced below
+        x = (s_gap + s_p * c_hp) / d
+        rates = _capacities(x, unit)
+    ok = (x >= -0.5) & (x < np.inf) & (d < np.inf)
+    if not ok.all():
+        far = ~ok
+        rates[far] = (_capacities(s_p[far], unit)
+                      - _capacities(s_hp[far] / (1.0 + c_hp[far]), unit))
+    return rates.T
 
 
 def _subset_table(points, h):
     """Sums over every user subset at the points (rows) of ``points``, an
     array or a list of power tuples.
 
-    Returns ``(s_p, s_hp, c_hp)``, each ``(2^K, N)``: row ``m`` holds the
-    sums of ``P_k`` and ``h_k P_k`` over the subset with bitmask ``m``, and
-    of ``h_k P_k`` over its complement.  Pass ``j`` adds user ``j`` to every
-    subset of the users above it, so each sum adds its terms from the
-    highest index down, as ``_scalar_sums`` does.
+    Returns ``(s_p, s_hp, c_hp, s_gap)``, each ``(2^K, N)``: row ``m``
+    holds the sums of ``P_k``, of ``h_k P_k`` and of ``P_k (1 - h_k)`` over
+    the subset with bitmask ``m``, and of ``h_k P_k`` over its complement.
+    Pass ``j`` adds user ``j`` to every subset of the users above it, so
+    each sum adds its terms from the highest index down, as
+    ``_scalar_sums`` does.
     """
     import numpy as np
     points = np.asarray(points, dtype=float)
+    h = np.asarray(h)
     n, k = points.shape
     tables = []
-    for values in (points, points * np.asarray(h)):
+    for values in (points, points * h, points * (1.0 - h)):
         table = np.zeros((1 << k, n))
         for j in range(k - 1, -1, -1):
             step = 1 << j
-            table[step::2 * step] = table[::2 * step] + values[:, j]
+            np.add(table[::2 * step], values[:, j], out=table[step::2 * step])
         tables.append(table)
-    s_p, s_hp = tables
-    return s_p, s_hp, s_hp[::-1]
+    s_p, s_hp, s_gap = tables
+    return s_p, s_hp, s_hp[::-1], s_gap
 
 
 def _gain_order(h) -> list[int]:

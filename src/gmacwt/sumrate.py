@@ -11,12 +11,10 @@ the resulting ratio.  Users with ``h_k >= 1`` never transmit.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .channel import StandardChannel
 from .errors import InternalError
 from .record import Record, setfield
-from .region import _checked_powers, awgn_capacity
+from .region import _checked_powers, _secrecy_rate
 
 #: Gains within this of 1 count as >= 1 and are forced silent.
 PRUNE_TOL = 1e-12
@@ -56,9 +54,16 @@ def sum_secrecy_rate(powers, ch: StandardChannel) -> float:
 
 
 def _sum_rate(p, ch: StandardChannel) -> float:
-    """``sum_secrecy_rate`` of float powers already checked for ``ch``."""
-    unit = ch.rate_unit
-    return awgn_capacity(sum(p), unit) - awgn_capacity(sum(map(mul, ch.h, p)), unit)
+    """``sum_secrecy_rate`` of float powers already checked for ``ch``, as
+    the one log ``C(N / D)`` with ``N = sum P_k (1 - h_k)`` and ``D = 1 +
+    sum h_k P_k``: no term of ``N`` cancels where every powered gain is
+    below 1, as at ``max_sum_rate``'s allocation."""
+    main = tap = gap = 0.0  # one pass, each sum in user order
+    for h, v in zip(ch.h, p):
+        main += v
+        tap += h * v
+        gap += v * (1.0 - h)
+    return _secrecy_rate(gap, 1.0 + tap, main, tap, ch.rate_unit)
 
 
 class SumRateSolution(Record):

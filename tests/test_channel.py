@@ -228,3 +228,29 @@ def test_channel_from_json_standard_and_roundtrip():
 def test_channel_from_json_validation(doc, field):
     with pytest.raises(ValidationError, match=field):
         channel_from_json(doc)
+
+
+RAW_DOC_FOR_FLAG = {
+    "users": [{"gain_receiver": 1, "gain_eavesdropper": 0.5, "power_max": 1}],
+    "noise_var_receiver": 1, "noise_var_eavesdropper": 1,
+}
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, 1.0, None, [], {}])
+def test_channel_from_json_refuses_a_standard_flag_that_is_not_a_boolean(flag):
+    """``"standard"`` is read as a JSON boolean, not by truthiness: a raw
+    document marked ``"false"`` is not taken for a standard one, nor a
+    standard document marked ``0`` for a raw one."""
+    raw = {**RAW_DOC_FOR_FLAG, "standard": flag}
+    standard = {"standard": flag, "users": [{"h": 0.5, "power_max": 1.0}]}
+    for doc in (raw, standard):
+        with pytest.raises(ValidationError) as info:
+            channel_from_json(doc)
+        assert str(info.value) == f"standard: must be true or false (got {flag!r})"
+
+
+def test_channel_from_json_reads_a_boolean_standard_flag():
+    assert channel_from_json({**RAW_DOC_FOR_FLAG, "standard": False}) \
+        == channel_from_json(RAW_DOC_FOR_FLAG)
+    assert channel_from_json({"standard": True, "users": [{"h": 0.5, "power_max": 1.0}]}) \
+        == channel_from_json(RAW_DOC_FOR_FLAG)

@@ -135,6 +135,27 @@ def test_region_defaults_to_full_power(tmp_path, capsys):
     assert explicit == default
 
 
+def test_region_refuses_an_empty_power_vector_as_feasible_does(tmp_path, capsys):
+    """An empty ``--power`` is a vector with one empty part, not "no
+    powers given": both commands refuse it in the same words."""
+    path = write(tmp_path, GOOD_DOC)
+    for command in ("region", "feasible"):
+        code, out, err = run(capsys, command, path, "--power", "")
+        assert (code, out) == (1, "")
+        assert err == "error: powers[0]: must be a finite number\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {**RAW_DOC, "standard": "false"},
+    {**GOOD_DOC, "standard": 0},
+    {**GOOD_DOC, "standard": None},
+])
+def test_a_standard_flag_that_is_not_a_boolean_exits_1(tmp_path, capsys, doc):
+    code, out, err = run(capsys, "maxsum", write(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err == f"error: standard: must be true or false (got {doc['standard']!r})\n"
+
+
 def test_region_csv_vertices(tmp_path, capsys):
     code, out, _ = run(capsys, "region", write(tmp_path, GOOD_DOC),
                        "--format", "csv")

@@ -7,8 +7,10 @@ Two kinds of test keep it so.  The guard tests count the checks that
 The property tests compare them with test-local copies of their earlier
 forms, which sorted through a rebuilt ``StandardChannel``, checked the
 powers again before taking the sum rate, and sorted by a Python key per
-user: every float by ``float.hex``, so a sum formed in another order
-shows.  A verdict shows it only at a slack of about 0, so the draws make
+user; the sum rate itself is the one rate kernel's formula, ``C(N / D)``
+with ``N = sum P_k (1 - h_k)`` and ``D = 1 + sum h_k P_k``, as
+``region._secrecy_rate`` takes it.  Every float is compared by
+``float.hex``, so a sum formed in another order shows.  A verdict shows it only at a slack of about 0, so the draws make
 some: users at gain 1 and full power, whose prefix slack is a sum minus
 the same sum, and a user whose gain is 1 plus the other users' sum, at a
 power that makes its slack 0.  Large powers then make a rounding step far
@@ -74,10 +76,19 @@ def channel_and_powers(draw):
 # --- the earlier forms --------------------------------------------------
 
 
-def _earlier_sum_secrecy_rate(powers, ch):
-    p = tuple(float(x) for x in powers)
-    return (awgn_capacity(sum(p), ch.rate_unit)
-            - awgn_capacity(sum(h * v for h, v in zip(ch.h, p)), ch.rate_unit))
+def _kernel_sum_secrecy_rate(powers, ch):
+    """``0.5 * log1p(N / D)`` in the channel's unit, or the difference of
+    the two capacities where ``N / D < -1/2`` or ``N`` or ``D`` overflowed."""
+    main = tap = gap = 0.0  # added in user order (the builtin sum compensates from 3.12 on)
+    for h, v in zip(ch.h, powers):
+        main += float(v)
+        tap += h * float(v)
+        gap += float(v) * (1.0 - h)
+    x = gap / (1.0 + tap) + 0.0
+    if not (-0.5 <= x < math.inf and 1.0 + tap < math.inf):
+        return awgn_capacity(main, ch.rate_unit) - awgn_capacity(tap, ch.rate_unit)
+    nats = 0.5 * math.log1p(x)
+    return nats / math.log(2) if ch.rate_unit == "bits" else nats
 
 
 def _earlier_max_sum_rate(ch):
@@ -97,7 +108,7 @@ def _earlier_max_sum_rate(ch):
     for j in range(limit):
         powers[perm[j]] = p_max[j]
     powers = tuple(powers)
-    return powers, limit, _earlier_sum_secrecy_rate(powers, ch), num / den, ch.rate_unit
+    return powers, limit, _kernel_sum_secrecy_rate(powers, ch), num / den, ch.rate_unit
 
 
 def _earlier_is_feasible(powers, ch):
