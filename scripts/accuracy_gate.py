@@ -7,11 +7,13 @@ nats) and case-A jamming channels, and compares every bound of
 references evaluated from the same float inputs at 50 digits.  Prints the
 largest relative error of each kind, as JSON.
 
-Run it against any checkout by putting that checkout's ``src`` first on
-the path.  ``--save FILE`` writes the values computed, and ``--compare
-FILE`` reads another checkout's values for the same corpus and counts how
-many of this checkout's values lie farther from the reference, and by how
-many units in the last place (ulp) of the reference::
+The corpus is fixed: seed ``SEED``, ``CHANNELS`` channels of each kind.
+The references, and the gain and cap draws, are the tests' own
+(``tests/helpers.py``).  Run it against any checkout by putting that
+checkout's ``src`` first on the path.  ``--save FILE`` writes the values
+computed, and ``--compare FILE`` reads another checkout's values and
+counts how many of this checkout's values lie farther from the reference,
+and by how many units in the last place (ulp) of the reference::
 
     PYTHONPATH=other/src python scripts/accuracy_gate.py --save other.json
     PYTHONPATH=src python scripts/accuracy_gate.py --compare other.json
@@ -21,6 +23,8 @@ import argparse
 import json
 import math
 import statistics
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -28,49 +32,30 @@ import numpy as np
 from gmacwt import StandardChannel, build_region, max_sum_rate
 from gmacwt.jamming import TwoUserChannel, jam_objective
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import cap, gain, mp_jam_objective, mp_subset_rate, rel_error  # noqa: E402
 
-def _gain(gen):
-    """Within 10^-12..10^-1 of 1 on either side one time in three, else
-    uniform on [0, 2]."""
-    if gen.integers(3) == 0:
-        return 1.0 + float(gen.choice((-1, 1))) * 10.0 ** gen.uniform(-12, -1)
-    return float(gen.uniform(0.0, 2.0))
+SEED = 15
+CHANNELS = 3000
 
 
-def _cap(gen):
-    return float(10.0 ** gen.uniform(-3, 3))
-
-
-def corpus(seed, count):
-    """``count`` channels with powers inside their box, and as many case-A
-    jamming channels with a jamming power, each from ``seed``."""
-    gen = np.random.default_rng(seed)
+def corpus():
+    """``CHANNELS`` channels with powers inside their box, and as many
+    case-A jamming channels with a jamming power, each from ``SEED``."""
+    gen = np.random.default_rng(SEED)
     channels, jams = [], []
-    for i in range(count):
+    for i in range(CHANNELS):
         k = int(gen.integers(1, 5))
         unit = ("bits", "nats")[i % 2]
-        ch = StandardChannel(h=[_gain(gen) for _ in range(k)],
-                             p_max=[_cap(gen) for _ in range(k)], rate_unit=unit)
+        ch = StandardChannel(h=[gain(gen, -12, -1) for _ in range(k)],
+                             p_max=[cap(gen) for _ in range(k)], rate_unit=unit)
         powers = ch.p_max if i % 3 == 0 else tuple(p * float(gen.uniform()) for p in ch.p_max)
         channels.append((ch, powers))
         near = gen.integers(3) == 0
         h1 = 1.0 - 10.0 ** gen.uniform(-12, -1) if near else float(gen.uniform(0.0, 1.0))
         h2 = 1.0 + 10.0 ** gen.uniform(-12, -1) if near else float(gen.uniform(1.0, 3.0))
-        jams.append((TwoUserChannel(h1, h2, _cap(gen), _cap(gen)), _cap(gen), unit))
+        jams.append((TwoUserChannel(h1, h2, cap(gen), cap(gen)), cap(gen), unit))
     return channels, jams
-
-
-def _c(x, unit):
-    """``C(x)`` in ``unit``, in the working precision."""
-    nats = mpmath.log1p(x) / 2
-    return nats / mpmath.log(2) if unit == "bits" else nats
-
-
-def _difference(a, cm, b, ct, unit):
-    """``C(a / (1 + cm)) - C(b / (1 + ct))`` at 50 digits."""
-    with mpmath.workdps(50):
-        a, cm, b, ct = (mpmath.mpf(v) for v in (a, cm, b, ct))
-        return _c(a / (1 + cm), unit) - _c(b / (1 + ct), unit)
 
 
 def values(channels, jams):
@@ -81,22 +66,13 @@ def values(channels, jams):
         k, unit = ch.num_users, ch.rate_unit
         for mask, bound in enumerate(build_region(powers, ch).bounds, 1):
             users = [j for j in range(k) if mask >> j & 1]
-            others = [j for j in range(k) if not mask >> j & 1]
-            with mpmath.workdps(50):
-                p = [mpmath.mpf(v) for v in powers]
-                hp = [mpmath.mpf(g) * v for g, v in zip(ch.h, p)]
-                ref = _difference(sum(p[j] for j in users), 0, sum(hp[j] for j in users),
-                                  sum(hp[j] for j in others), unit)
-            out["bound"].append((bound, ref, all(ch.h[j] < 1.0 for j in users)))
+            out["bound"].append((bound, mp_subset_rate(ch.h, powers, users, unit),
+                                 all(ch.h[j] < 1.0 for j in users)))
         sol = max_sum_rate(ch)
-        with mpmath.workdps(50):
-            p = [mpmath.mpf(v) for v in sol.powers]
-            ref = _difference(sum(p), 0, sum(mpmath.mpf(g) * v for g, v in zip(ch.h, p)), 0, unit)
-        out["sum_rate"].append((sol.sum_rate, ref, True))
+        out["sum_rate"].append((sol.sum_rate, mp_subset_rate(ch.h, sol.powers, range(k), unit),
+                                True))
     for two, p2, unit in jams:
-        with mpmath.workdps(50):
-            h1, h2, p1 = (mpmath.mpf(v) for v in (two.h1, two.h2, two.p1_max))
-            ref = _difference(p1, p2, h1 * p1, h2 * p2, unit)
+        ref = mp_jam_objective(two.h1, two.h2, two.p1_max, p2, unit)
         out["jamming"].append((jam_objective(two.p1_max, p2, two, unit), ref, True))
     return out
 
@@ -107,10 +83,6 @@ def _error(value, ref):
         return abs(mpmath.mpf(value) - ref)
 
 
-def _rel(value, ref):
-    return 0.0 if value == ref else float(_error(value, ref) / abs(ref))
-
-
 def _ulps(value, ref):
     return float(_error(value, ref)) / math.ulp(float(ref))
 
@@ -119,10 +91,10 @@ def summary(out):
     report = {}
     for kind, rows in out.items():
         report[kind] = {"values": len(rows),
-                        "max_rel_error": max(_rel(v, r) for v, r, _ in rows)}
+                        "max_rel_error": max(rel_error(v, r) for v, r, _ in rows)}
         if kind == "bound":
             report[kind]["max_rel_error_gains_below_1"] = max(
-                _rel(v, r) for v, r, below in rows if below)
+                rel_error(v, r) for v, r, below in rows if below)
     return report
 
 
@@ -136,20 +108,18 @@ def compare(out, other):
         report[kind] = {"farther": len(farther), "of": len(rows),
                         "median_ulp": statistics.median(farther) if farther else 0.0,
                         "max_ulp": max(farther, default=0.0),
-                        "other_max_rel_error": max(_rel(o, r) for (_, r, _), o
+                        "other_max_rel_error": max(rel_error(o, r) for (_, r, _), o
                                                    in zip(rows, other[kind]))}
     return report
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=15)
-    parser.add_argument("--channels", type=int, default=3000)
     parser.add_argument("--save", help="write the values computed to this JSON file")
     parser.add_argument("--compare", help="another checkout's values, from --save")
     args = parser.parse_args(argv)
-    out = values(*corpus(args.seed, args.channels))
-    report = {"seed": args.seed, "channels": args.channels, **summary(out)}
+    out = values(*corpus())
+    report = {"seed": SEED, "channels": CHANNELS, **summary(out)}
     if args.save:
         with open(args.save, "w", encoding="utf-8") as fh:
             json.dump({kind: [v for v, _, _ in rows] for kind, rows in out.items()}, fh)

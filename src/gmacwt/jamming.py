@@ -121,8 +121,7 @@ def jam_objective(p1, p2, ch: TwoUserChannel, unit: str = "bits") -> float:
     p1, p2 = _as_float("p1", p1), _as_float("p2", p2)
     h1, h2 = ch.h1, ch.h2
     return _secrecy_rate(p1 * ((1.0 - h1) + (h2 - h1) * p2),
-                         (1.0 + p2) * (1.0 + h1 * p1 + h2 * p2),
-                         p1 / (1.0 + p2), h1 * p1 / (1.0 + h2 * p2), unit)
+                         p1, p2, h1 * p1, h2 * p2, unit)
 
 
 def p1_stationarity(p2, ch: TwoUserChannel) -> float:

@@ -98,24 +98,25 @@ def _capacities(x: np.ndarray, unit: str) -> np.ndarray:
     return nats / math.log(2) if unit == "bits" else nats
 
 
-def _secrecy_rate(n: float, d: float, main: float, tap: float, unit: str) -> float:
-    """``C(main) - C(tap)`` as one log, ``C(n / d)``.
+def _secrecy_rate(n: float, a: float, c_m: float, b: float, c_t: float,
+                  unit: str) -> float:
+    """``C(a / (1 + c_m)) - C(b / (1 + c_t))`` as one log, ``C(n / D)``.
 
-    Every closed-form secrecy rate is such a difference, ``C(a / (1 +
-    c_m)) - C(b / (1 + c_t))``, and equals ``C(N / D)`` with ``N = a (1 +
-    c_t) - b (1 + c_m)`` and ``D = (1 + c_m)(1 + c_t + b)``.  The caller
-    forms ``N`` from terms such as ``P_k (1 - h_k)``, in which a gain near
-    1 loses nothing (``1 - h_k`` is exact for ``h_k`` in [1/2, 2]), where
-    the difference of two nearly equal capacities cancels.  Where ``n / d <
-    -1/2``, at which ``1 + n / d`` cancels instead (or rounds to 0), or
-    where ``n`` or ``d`` overflowed, the difference itself is returned,
-    which is finite and well-conditioned there.  ``_bounds`` is the same
-    rule for arrays.
+    Every closed-form secrecy rate is such a difference, and it equals
+    ``C(N / D)`` with ``N = a (1 + c_t) - b (1 + c_m)`` and ``D = (1 +
+    c_m)(1 + b + c_t)``.  The caller supplies ``n``, formed from terms such
+    as ``P_k (1 - h_k)``, in which a gain near 1 loses nothing (``1 - h_k``
+    is exact for ``h_k`` in [1/2, 2]), where the difference of two nearly
+    equal capacities cancels.  Where ``n / D < -1/2``, at which ``1 + n /
+    D`` cancels instead (or rounds to 0), or where ``n`` or ``D``
+    overflowed, the difference itself is returned, which is finite and
+    well-conditioned there.  ``_bounds`` is the same rule for arrays.
     """
+    d = (1.0 + c_m) * (1.0 + b + c_t)
     x = n / d + 0.0  # + 0.0: a zero numerator of either sign is the rate +0.0
     if -0.5 <= x < math.inf and d < math.inf:
         return _capacity(x, unit)
-    return awgn_capacity(main, unit) - awgn_capacity(tap, unit)
+    return awgn_capacity(a / (1.0 + c_m), unit) - awgn_capacity(b / (1.0 + c_t), unit)
 
 
 def _bounds(table, unit):

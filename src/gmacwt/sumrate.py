@@ -63,7 +63,7 @@ def _sum_rate(p, ch: StandardChannel) -> float:
         main += v
         tap += h * v
         gap += v * (1.0 - h)
-    return _secrecy_rate(gap, 1.0 + tap, main, tap, ch.rate_unit)
+    return _secrecy_rate(gap, main, 0.0, tap, 0.0, ch.rate_unit)
 
 
 class SumRateSolution(Record):

@@ -15,7 +15,6 @@ stays finite.
 import json
 import math
 
-import mpmath
 import pytest
 
 import gmacwt.cli as cli
@@ -23,44 +22,10 @@ from gmacwt import StandardChannel, TwoUserChannel, build_region, jam_objective,
 from gmacwt.region import awgn_capacity, subset_rates
 from gmacwt.sumrate import sum_secrecy_rate
 
-from helpers import rng
+from helpers import cap, gain, mp_jam_objective, mp_subset_rate, rel_error, rng
 
-#: Distances of the gains from 1: each draw is ``band`` times 1 to 10.
-BANDS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3]
-
-
-def _mp_rate(h, p, users, unit, jam=()):
-    """The secrecy rate of ``users`` at gains ``h`` and powers ``p``, from
-    the floats at 50 digits: ``C(P_S) - C(hP_S / (1 + hP_{S^c}))``, or with
-    ``jam = (h2, p2)`` user 1's ``C(p1 / (1 + p2)) - C(h1 p1 / (1 + h2 p2))``."""
-    with mpmath.workdps(50):
-        h, p = [mpmath.mpf(g) for g in h], [mpmath.mpf(v) for v in p]
-        a = sum(p[k] for k in users)
-        b = sum(h[k] * p[k] for k in users)
-        c = sum(h[k] * p[k] for k in range(len(h)) if k not in users)
-        cm = 0
-        if jam:
-            h2, p2 = (mpmath.mpf(v) for v in jam)
-            c, cm = h2 * p2, p2
-        nats = (mpmath.log1p(a / (1 + cm)) - mpmath.log1p(b / (1 + c))) / 2
-        return nats / mpmath.log(2) if unit == "bits" else nats
-
-
-def _rel_error(value, exact):
-    with mpmath.workdps(50):
-        return abs(mpmath.mpf(value) - exact) / abs(exact)
-
-
-def _gain(gen, band):
-    """Next to 1, below or above, or anywhere in [0, 2]."""
-    side = int(gen.integers(3))
-    if side == 2:
-        return float(gen.uniform(0.0, 2.0))
-    return 1.0 + (-1.0, 1.0)[side] * band * float(gen.uniform(1.0, 10.0))
-
-
-def _cap(gen):
-    return float(10.0 ** gen.uniform(-3, 3))
+#: Distances of the gains from 1: each draw is within 10^band..10^(band + 1).
+BANDS = [-12, -10, -8, -6, -4, -3]
 
 
 @pytest.mark.parametrize("band", BANDS)
@@ -72,15 +37,15 @@ def test_bounds_are_accurate_next_to_a_gain_of_1(band):
     for i in range(60):
         k = int(gen.integers(1, 5))
         unit = ("bits", "nats")[i % 2]
-        ch = StandardChannel(h=[_gain(gen, band) for _ in range(k)],
-                             p_max=[_cap(gen) for _ in range(k)], rate_unit=unit)
+        ch = StandardChannel(h=[gain(gen, band, band + 1) for _ in range(k)],
+                             p_max=[cap(gen) for _ in range(k)], rate_unit=unit)
         p = tuple(c * float(gen.uniform(0.5, 1.0)) for c in ch.p_max)
         for mask, bound in enumerate(build_region(p, ch).bounds, 1):
             users = [j for j in range(k) if mask >> j & 1]
             if not all(ch.h[j] < 1.0 for j in users):
                 continue
-            exact = _mp_rate(ch.h, p, users, unit)
-            assert _rel_error(bound, exact) <= 1e-13, (ch, p, users)
+            exact = mp_subset_rate(ch.h, p, users, unit)
+            assert rel_error(bound, exact) <= 1e-13, (ch, p, users)
             checked += 1
     assert checked >= 60
 
@@ -92,15 +57,15 @@ def test_max_sum_rate_is_accurate_next_to_a_gain_of_1(band):
     for i in range(60):
         k = int(gen.integers(1, 5))
         unit = ("bits", "nats")[i % 2]
-        ch = StandardChannel(h=[_gain(gen, band) for _ in range(k)],
-                             p_max=[_cap(gen) for _ in range(k)], rate_unit=unit)
+        ch = StandardChannel(h=[gain(gen, band, band + 1) for _ in range(k)],
+                             p_max=[cap(gen) for _ in range(k)], rate_unit=unit)
         sol = max_sum_rate(ch)
         if not sol.limiting_user:
             assert sol.sum_rate == 0.0
             continue
         powered += 1
-        exact = _mp_rate(ch.h, sol.powers, range(k), unit)
-        assert _rel_error(sol.sum_rate, exact) <= 1e-14, ch
+        exact = mp_subset_rate(ch.h, sol.powers, range(k), unit)
+        assert rel_error(sol.sum_rate, exact) <= 1e-14, ch
     assert powered >= 30
 
 
@@ -110,12 +75,12 @@ def test_case_a_jamming_objective_is_accurate_next_to_a_gain_of_1(band):
     gen = rng(152)
     for i in range(100):
         unit = ("bits", "nats")[i % 2]
-        h1 = 1.0 - band * float(gen.uniform(1.0, 10.0))
-        h2 = 1.0 + band * float(gen.uniform(1.0, 10.0))
-        ch = TwoUserChannel(h1=h1, h2=h2, p1_max=_cap(gen), p2_max=_cap(gen))
+        h1 = 1.0 - 10.0 ** gen.uniform(band, band + 1)
+        h2 = 1.0 + 10.0 ** gen.uniform(band, band + 1)
+        ch = TwoUserChannel(h1=h1, h2=h2, p1_max=cap(gen), p2_max=cap(gen))
         p2 = ch.p2_max * float(gen.uniform())
-        exact = _mp_rate((h1,), (ch.p1_max,), (0,), unit, jam=(h2, p2))
-        assert _rel_error(jam_objective(ch.p1_max, p2, ch, unit), exact) <= 1e-14, (ch, p2)
+        exact = mp_jam_objective(h1, h2, ch.p1_max, p2, unit)
+        assert rel_error(jam_objective(ch.p1_max, p2, ch, unit), exact) <= 1e-14, (ch, p2)
 
 
 # --- where the one log is not taken -----------------------------------
