@@ -5,7 +5,8 @@ within 10^-12..10^-1 of 1 on either side, caps 10^-3..10^3, bits and
 nats) and case-A jamming channels, and compares every bound of
 ``build_region``, ``max_sum_rate``'s sum rate and ``jam_objective`` with
 references evaluated from the same float inputs at 50 digits.  Prints the
-largest relative error of each kind, as JSON.
+largest relative error of each kind, as JSON, and exits 1 if one of them
+is above its limit in ``LIMITS``.
 
 The corpus is fixed: seed ``SEED``, ``CHANNELS`` channels of each kind.
 The references, and the gain and cap draws, are the tests' own
@@ -37,6 +38,12 @@ from helpers import cap, gain, mp_jam_objective, mp_subset_rate, rel_error  # no
 
 SEED = 15
 CHANNELS = 3000
+
+#: The largest relative error allowed for each kind: the maximum recorded on
+#: this corpus, rounded up (1.0578e-13, 4.261e-16, 4.379e-16 and 5.382e-16).
+#: These limits may only be tightened, never loosened.
+LIMITS = {"bound": 1.06e-13, "bound_gains_below_1": 4.3e-16, "sum_rate": 4.4e-16,
+          "jamming": 5.4e-16}
 
 
 def corpus():
@@ -98,6 +105,13 @@ def summary(out):
     return report
 
 
+def over_limit(report):
+    """The kinds whose largest relative error is above its limit."""
+    maxima = {kind: report[kind]["max_rel_error"] for kind in ("bound", "sum_rate", "jamming")}
+    maxima["bound_gains_below_1"] = report["bound"]["max_rel_error_gains_below_1"]
+    return sorted(kind for kind, value in maxima.items() if value > LIMITS[kind])
+
+
 def compare(out, other):
     """How many values lie farther from the reference than ``other``'s,
     and by how many ulp of the reference (median and largest)."""
@@ -120,6 +134,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = values(*corpus())
     report = {"seed": SEED, "channels": CHANNELS, **summary(out)}
+    report["over_limit"] = over_limit(report)
     if args.save:
         with open(args.save, "w", encoding="utf-8") as fh:
             json.dump({kind: [v for v, _, _ in rows] for kind, rows in out.items()}, fh)
@@ -127,7 +142,8 @@ def main(argv=None):
         with open(args.compare, encoding="utf-8") as fh:
             report["compared_with"] = compare(out, json.load(fh))
     print(json.dumps(report, indent=2))
+    return 1 if report["over_limit"] else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -88,6 +88,14 @@ def _as_float_tuple(name, values, sign=">=", users=None):
     raise ValidationError(f"{name}: must be a sequence of numbers")
 
 
+def _check_totals(p, h, name, h_name):
+    """Refuse the powers ``p`` on gains ``h`` whose total (``name``) or total of
+    ``h * p`` (``h_name``) overflows: they bound every subset sum inside the box."""
+    for label, total in ((name, sum(p)), (h_name, sum(map(operator.mul, h, p)))):
+        if not math.isfinite(total):
+            raise ValidationError(f"{label}: the users' total overflows (got {total})")
+
+
 class ChannelParams(Record):
     """Channel in raw (non-standard) form.
 
@@ -155,11 +163,7 @@ class StandardChannel(Record):
             raise ValidationError(
                 f"p_max: length {len(self.p_max)} does not match the "
                 f"{len(self.h)} users implied by h")
-        # These two totals bound every subset sum formed inside the box.
-        for name, total in (("p_max", sum(self.p_max)),
-                            ("h*p_max", sum(h * p for h, p in zip(self.h, self.p_max)))):
-            if not math.isfinite(total):
-                raise ValidationError(f"{name}: the users' total overflows (got {total})")
+        _check_totals(self.p_max, self.h, "p_max", "h*p_max")
         _check_rate_unit(self.rate_unit)
 
     @property

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import StandardChannel, _as_float, _check_rate_unit
+from .channel import StandardChannel, _as_float, _check_rate_unit, _check_totals
 from .errors import ValidationError
 from .record import Record, setfield
 from .region import _secrecy_rate
@@ -56,6 +56,8 @@ class TwoUserChannel(Record):
     def __init__(self, h1, h2, p1_max, p2_max):
         for name, value in zip(self.__slots__, (h1, h2, p1_max, p2_max)):
             setfield(self, name, _as_float(name, value))
+        p, h = (self.p1_max, self.p2_max), (self.h1, self.h2)
+        _check_totals(p, h, "p1_max + p2_max", "p1_max*h1 + p2_max*h2")
         if self.h1 > self.h2:
             raise ValidationError(
                 f"h1: must be <= h2 (got h1={self.h1}, h2={self.h2}); "
@@ -120,6 +122,7 @@ def jam_objective(p1, p2, ch: TwoUserChannel, unit: str = "bits") -> float:
     """
     p1, p2 = _as_float("p1", p1), _as_float("p2", p2)
     h1, h2 = ch.h1, ch.h2
+    _check_totals((p1, p2), (h1, h2), "p1 + p2", "p1*h1 + p2*h2")
     return _secrecy_rate(p1 * ((1.0 - h1) + (h2 - h1) * p2),
                          p1, p2, h1 * p1, h2 * p2, unit)
 
@@ -137,23 +140,25 @@ def p1_stationarity(p2, ch: TwoUserChannel) -> float:
 
 def jam_roots(p1, ch: TwoUserChannel) -> tuple[float, float, float]:
     """Discriminant and roots of the jamming stationarity parabola in
-    ``p2`` at transmit power ``p1``.
+    ``p2`` at transmit power ``p1``; requires ``h2 > h1`` and ``h2 >= 1``.
 
-    Returns ``(disc, p_lo, p_hi)`` with ``disc >= 0`` and ``p_lo <=
-    p_hi``; ``p_hi`` is the candidate interior jamming power.  ``p_lo``
-    is negative whenever ``h1 < 1``.  Requires ``h2 > h1`` and ``h2 >= 1``.
+    Returns ``(disc, p_lo, p_hi)``: ``disc >= 0``, inf where its true value
+    exceeds the float range, and ``p_lo <= p_hi``, the candidate interior
+    jamming power.  ``p_lo`` is ``-2 b / a - p_hi`` for ``h1 < 1``, where it
+    is negative, else ``-c / (a p_hi)`` in integers (Vieta; see ``_p_hi``).
     """
-    p1 = _as_float("p1", p1)
-    if ch.h2 <= ch.h1:
+    p1, h1, h2 = _as_float("p1", p1), ch.h1, ch.h2
+    if h2 <= h1:
         raise ValidationError(
-            f"h2: stationarity roots need h2 > h1 (got h1={ch.h1}, h2={ch.h2})")
-    if ch.h2 < 1.0:
+            f"h2: stationarity roots need h2 > h1 (got h1={h1}, h2={h2})")
+    if h2 < 1.0:
         raise ValidationError(
-            f"h2: stationarity roots need h2 >= 1 (got {ch.h2})")
-    h1, h2 = ch.h1, ch.h2
-    disc = h1 * h2 * ((h2 - 1.0) + (h2 - h1) * p1) * (h2 - 1.0)
-    p_lo = (-h2 * (1.0 - h1) - math.sqrt(disc)) / (h2 * (h2 - h1))
-    return disc, p_lo, _p_hi(p1, h1, h2)
+            f"h2: stationarity roots need h2 >= 1 (got {h2})")
+    disc, p_hi = h1 * h2 * ((h2 - 1.0) + (h2 - h1) * p1) * (h2 - 1.0), _p_hi(p1, h1, h2)
+    if h1 < 1.0 or not 0.0 < p_hi < math.inf:  # -2 b / a <= 0; a p_hi < 0 is at most half
+        return disc, -2.0 * (1.0 - h1) / (h2 - h1) - p_hi, p_hi
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = map(float.as_integer_ratio, (h1, h2, p1, p_hi))
+    return disc, (d1*d2*d3 - n1*(n2*d3 + (n2-d2)*n3))*d2*d4 / (d3*n2*(n2*d1 - n1*d2)*n4), p_hi
 
 
 def _p_hi(p1, h1, h2):
@@ -163,13 +168,12 @@ def _p_hi(p1, h1, h2):
 
     Every term is divided by ``s = sqrt(a)``, and ``t = sqrt(disc) / s``
     is a product of square roots, so no intermediate overflows on the
-    channels that a ``StandardChannel`` admits (each ``h_k * p_k``
-    finite), which the tests sample from 1e-300 to 1e300.  In case B
-    (``h1 >= 1``) the root is ``(sqrt(disc) - b) / a``, a sum of
-    nonnegative terms.  In case A it is ``c / (b + sqrt(disc))``, in which
-    only ``c`` cancels, near the no-jam threshold, so ``c / s`` (and
-    ``b / s``, which must round alike for ``h2 == 1`` to give exactly -1)
-    is formed in integers and rounded once.
+    channels that ``_check_totals`` admits, which the tests sample from
+    1e-300 to 1e300.  In case B (``h1 >= 1``) the root is ``(sqrt(disc) -
+    b) / a``, a sum of nonnegative terms.  In case A it is ``c / (b +
+    sqrt(disc))``, in which only ``c`` cancels, near the no-jam threshold,
+    so ``c / s`` (and ``b / s``, which must round alike for ``h2 == 1`` to
+    give exactly -1) is formed in integers and rounded once.
     """
     g = h2 - h1
     s = math.sqrt(h2) * math.sqrt(g)

@@ -29,7 +29,7 @@ from collections import deque
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
-from .channel import StandardChannel, _as_float_tuple, _as_int, _check_rate_unit
+from .channel import StandardChannel, _as_float_tuple, _as_int, _check_rate_unit, _check_totals
 from .errors import ValidationError
 from .record import Record, setfield
 
@@ -109,14 +109,14 @@ def _secrecy_rate(n: float, a: float, c_m: float, b: float, c_t: float,
     is exact for ``h_k`` in [1/2, 2]), where the difference of two nearly
     equal capacities cancels.  Where ``n / D < -1/2``, at which ``1 + n /
     D`` cancels instead (or rounds to 0), or where ``n`` or ``D``
-    overflowed, the difference itself is returned, which is finite and
-    well-conditioned there.  ``_bounds`` is the same rule for arrays.
+    overflowed, the difference is returned, well-conditioned there and
+    finite, as ``_check_totals`` held.  ``_bounds`` is the same rule for arrays.
     """
     d = (1.0 + c_m) * (1.0 + b + c_t)
     x = n / d + 0.0  # + 0.0: a zero numerator of either sign is the rate +0.0
     if -0.5 <= x < math.inf and d < math.inf:
         return _capacity(x, unit)
-    return awgn_capacity(a / (1.0 + c_m), unit) - awgn_capacity(b / (1.0 + c_t), unit)
+    return _capacity(a / (1.0 + c_m), unit) - _capacity(b / (1.0 + c_t), unit)
 
 
 def _bounds(table, unit):
@@ -214,8 +214,10 @@ def _finite_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
 
 
 def _checked_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
-    """``powers`` as one finite float >= 0 per user of ``ch``."""
-    return _as_float_tuple("powers", powers, ">=", ch.num_users)
+    """``powers`` as one finite float >= 0 per user of ``ch``, with finite totals."""
+    p = _as_float_tuple("powers", powers, ">=", ch.num_users)
+    _check_totals(p, ch.h, "powers", "powers*h")
+    return p
 
 
 def _subset_indices(subset, num_users) -> tuple[int, ...]:

@@ -388,6 +388,25 @@ def test_non_finite_or_overflowing_channel_exits_1(tmp_path, capsys, users):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["region", "{doc}", "--power", "1e308,1e308"],
+     "error: powers: the users' total overflows (got inf)\n"),
+    (["sweep", "{doc}", "--kind", "jam", "--p1", "1e308"],
+     "# jamming sweep: objective vs jamming power at p1=1e+308, rate_unit=bits\n"
+     "error: p1*h1 + p2*h2: the users' total overflows (got inf)\n"),
+])
+def test_powers_whose_totals_overflow_exit_1(tmp_path, argv, err):
+    """Powers are held to the channel's totals rule: a refusal that names
+    the powers, exit 1 and no numpy warning on stderr."""
+    doc = write(tmp_path, {"standard": True, "users": [{"h": 2, "power_max": 1},
+                                                       {"h": 3, "power_max": 1}]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmacwt.cli", *[a.format(doc=doc) for a in argv]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["feasible", "{doc}", "--power", "nan,0"],
     ["region", "{doc}", "--power", "0,inf"],

@@ -77,7 +77,8 @@ def documents(draw):
 
 
 POWER_LISTS = st.sampled_from([2, 1, 2, 3]).flatmap(lambda k: st.lists(
-    st.sampled_from(["0", "1", "2.5", "0.1"]), min_size=k, max_size=k))
+    st.sampled_from(["0", "1", "2.5", "0.1", "1e308", "1.7976931348623157e308"]),
+    min_size=k, max_size=k))
 BAD_POWER_LISTS = st.lists(st.sampled_from(
     ["-1", "1e400", "nan", "inf", "5e-324", "x", ""]), min_size=1, max_size=3)
 

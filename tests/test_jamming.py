@@ -430,3 +430,50 @@ def test_a_root_at_the_cap_is_interior(ch):
     p_hi = jam_roots(ch.p1_max, ch)[2]
     sol = solve_jamming(TwoUserChannel(ch.h1, ch.h2, ch.p1_max, p_hi))
     assert (sol.p2, sol.branch) == (p_hi, "InteriorRoot")
+
+
+def _extreme_channels():
+    """The channels of ``test_p_hi_is_accurate_at_extreme_magnitudes``,
+    drawn the same way, and a case-A channel whose ``a = h2 (h2 - h1)``
+    and discriminant overflow, from ``StandardChannel(h=(0.5, 1e200),
+    p_max=(1, 1))``."""
+    gen = rng(50)
+    channels = []
+    while len(channels) < 400:
+        if len(channels) % 2 == 0:  # case A
+            h1 = float(10.0 ** gen.uniform(-300, 0) * gen.uniform(0, 1))
+            h2 = 1.0 + float(10.0 ** gen.uniform(-16, 300))
+        else:  # case B
+            h1 = 1.0 + float(10.0 ** gen.uniform(-16, 300))
+            h2 = h1 * (1.0 + float(10.0 ** gen.uniform(-11, 5)))
+        p1, p2 = (float(10.0 ** gen.uniform(-300, 308)) for _ in range(2))
+        received = (h1 * p1, h2 * p2, h1 * p1 + h2 * p2, p1 + p2)
+        if h1 < h2 and all(map(math.isfinite, (h2, *received))):
+            channels.append(TwoUserChannel(h1=h1, h2=h2, p1_max=p1, p2_max=p2))
+    two, _ = TwoUserChannel.from_standard(StandardChannel(h=(0.5, 1e200), p_max=(1, 1)))
+    return channels + [two]
+
+
+def test_p_lo_is_finite_and_accurate_at_extreme_magnitudes():
+    """``p_lo`` is finite wherever its 60-digit value is a finite float,
+    also where the discriminant overflows, and within 1e-15 relative of
+    it (the largest error on these draws is 6.2e-16)."""
+    for ch in _extreme_channels():
+        with mpmath.workdps(60):
+            h1, h2, p1 = (mpmath.mpf(x) for x in (ch.h1, ch.h2, ch.p1_max))
+            disc = h1 * h2 * ((h2 - 1) + (h2 - h1) * p1) * (h2 - 1)
+            exact = (-h2 * (1 - h1) - mpmath.sqrt(disc)) / (h2 * (h2 - h1))
+        assert abs(exact) <= 1.7976931348623157e308
+        _, p_lo, _ = jam_roots(ch.p1_max, ch)
+        assert math.isfinite(p_lo), ch
+        assert abs(p_lo - exact) <= 1e-15 * abs(exact), (ch, p_lo, float(exact))
+
+
+def test_p_lo_and_p2_stationarity_where_the_discriminant_overflows():
+    two = _extreme_channels()[-1]
+    disc, p_lo, p_hi = jam_roots(1.0, two)
+    assert disc == math.inf
+    assert p_lo == pytest.approx(-1e-100, rel=1e-15)
+    assert p_hi == pytest.approx(1e-100, rel=1e-15)
+    # p1 * h2 * (h2 - h1) = 1e400 exceeds the float range; its sign is right
+    assert p2_stationarity(1.0, 0.5, two) == math.inf
