@@ -12,8 +12,8 @@ Subcommands::
 
 All JSON output is deterministic (two-space indent, insertion order) and
 floats use their shortest round-trip representation.  Exit status 1 marks
-invalid input, 2 an internal consistency failure (e.g. a ``--verify``
-cross-check disagreeing beyond tolerance).
+invalid input, 2 an internal consistency failure (e.g. a closed form
+that fails the ``--verify`` check of ``gmacwt.oracle``).
 
 Each command imports the modules it runs: ``standardize``, ``feasible``
 and ``region`` never load ``sumrate``, ``jamming`` or ``oracle``,
@@ -160,26 +160,23 @@ def _cmd_sweep(args):
     ch = _load(args)
     if args.kind == "region":
         table = _sweep_table(ch, args.grid_steps)
-        print(
-            "# region sweep: bounds at every feasible grid point "
-            "(union data), rate_unit=" + ch.rate_unit,
-            file=sys.stderr)
         # a slice at a time, so the rows are never all Python floats at once
         rows = (row for i in range(0, len(table), 4096) for row in table[i:i + 4096].tolist())
-        return _csv("P1,P2,b1,b2,b12", rows)
-
-    from .jamming import TwoUserChannel, jam_objective
-    two, _ = TwoUserChannel.from_standard(ch)
-    p1 = two.p1_max if args.p1 is None else _as_float("p1", args.p1)
-    step = args.p2_step
-    count = _p2_points(step, two.p2_max)
-    print(
-        f"# jamming sweep: objective vs jamming power at p1={_fmt(p1)}, "
-        f"rate_unit={ch.rate_unit}",
-        file=sys.stderr)
-    rows = ((p2, jam_objective(p1, p2, two, ch.rate_unit))
-            for p2 in (i * step for i in range(count)))
-    return _csv("p2,objective", rows)
+        text = _csv("P1,P2,b1,b2,b12", rows)
+        about = "region sweep: bounds at every feasible grid point (union data)"
+    else:
+        from .jamming import TwoUserChannel, jam_objective
+        two, _ = TwoUserChannel.from_standard(ch)
+        p1 = two.p1_max if args.p1 is None else _as_float("p1", args.p1)
+        step = args.p2_step
+        count = _p2_points(step, two.p2_max)
+        rows = ((p2, jam_objective(p1, p2, two, ch.rate_unit))
+                for p2 in (i * step for i in range(count)))
+        text = _csv("p2,objective", rows)
+        about = f"jamming sweep: objective vs jamming power at p1={_fmt(p1)}"
+    # only once every row is formed, so that a refusal is the one stderr line
+    print(f"# {about}, rate_unit={ch.rate_unit}", file=sys.stderr)
+    return text
 
 
 _COMMANDS = {
@@ -235,7 +232,7 @@ def _build_parser():
                    help="cross-check against the grid oracle")
     p.add_argument("--grid-steps", type=int, default=None,
                    help="oracle grid steps per axis (default: 11 for K <= 3, "
-                        "6 otherwise)")
+                        "6 up to K = 8, fewer above)")
 
     p = sub.add_parser("jam", help="two-user cooperative jamming optimum")
     common(p)

@@ -1,12 +1,13 @@
 """Brute-force grid verification of the closed-form optimizers.
 
-Exhaustive evaluation over power grids, used by the tests and, through
-``verify_sum_rate`` and ``verify_jamming``, by the CLI ``--verify`` flag
-as an independent cross-check.  The sum-rate oracle filters the grid
-through the allowable-power-set constraints (the set the sum-rate
-optimizer works over); the jamming oracle searches the plain box (the set
-the jamming solver works over).  Ties are broken toward the
-lexicographically smallest power vector so repeated runs are bit-identical.
+Exhaustive evaluation over power grids, used by the tests and by the CLI's
+``--verify`` through ``verify_sum_rate`` and ``verify_jamming``.  Each
+oracle searches its solver's set: the sum-rate oracle the allowable power
+set (a grid filtered by its constraints), the jamming oracle the box.  A
+closed form passes when its powers lie in that set, the oracle's formula
+gives its rate there within ``VERIFY_TOL``, and no grid point beats that
+rate by more; a grid may fall short of it by any amount.  Ties go to the
+lexicographically smallest power vector, so runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,17 +19,15 @@ from typing import TYPE_CHECKING
 from .channel import StandardChannel, _check_rate_unit
 from .errors import InternalError
 from .record import Record, setfield
-from .region import _axis_blocks, _capacities, _check_grid, _grid_axis, _infeasible
+from .region import (MAX_GRID_POINTS, _axis_blocks, _capacities, _check_grid, _grid_axis,
+                     _infeasible)
 
 if TYPE_CHECKING:
     from .jamming import JammingSolution, TwoUserChannel
     from .sumrate import SumRateSolution
 
-#: The closed forms must match the oracles this well: the sum rate (which
-#: the grid holds exactly, at a box corner) and the jamming rate (whose
-#: optimum lies between grid points).
-SUM_RATE_VERIFY_TOL = 1e-9
-JAMMING_VERIFY_TOL = 1e-5
+#: The one tolerance of ``--verify``'s rule (see the module docstring).
+VERIFY_TOL = 1e-9
 
 
 class GridSpec(Record):
@@ -86,21 +85,31 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     best, best_rate = None, -math.inf  # zero power is always feasible, so a max exists
     for fixed in itertools.product(*(_grid_axis(p, steps).tolist() for p in ch.p_max[:cut])):
         for part in _axis_blocks(ch.p_max[cut], steps, run):
-            columns = [*fixed, part.reshape(-1, *[1] * (k - 1 - cut)), *rest]
-            hp = [g * x for g, x in zip(ch.h, columns)]
-            s_p, s_hp = columns[-1], hp[-1]
-            for j in reversed(range(k - 1)):  # as the subset table adds
-                s_p = s_p + columns[j]
-                s_hp = s_hp + hp[j]
-            # the full set's bound; its complement is empty, so no interference
-            rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
-            rate[_infeasible(columns, hp, ch.h)] = -math.inf
+            rate = _sum_rates([*fixed, part.reshape(-1, *[1] * (k - 1 - cut)), *rest], ch)
             i = int(rate.argmax())  # first max = lexicographically smallest
             if rate.flat[i] > best_rate:
                 index = np.unravel_index(i, rate.shape)
                 best_rate = rate.flat[i]
-                best = (*fixed, *(float(x.flat[n]) for x, n in zip(columns[cut:], index)))
+                best = (*fixed, *(float(x.flat[n]) for x, n in zip([part, *rest], index)))
     return best, float(best_rate)
+
+
+def _sum_rates(columns, ch: StandardChannel):
+    """The full set's bound (its complement is empty) at the points of the
+    per-user ``columns``, axes that broadcast; -inf where infeasible."""
+    hp = [g * x for g, x in zip(ch.h, columns)]
+    s_p, s_hp = columns[-1], hp[-1]
+    for j in reversed(range(len(columns) - 1)):  # as the subset table adds
+        s_p = s_p + columns[j]
+        s_hp = s_hp + hp[j]
+    rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
+    rate[_infeasible(columns, hp, ch.h)] = -math.inf
+    return rate
+
+
+def _jam_rates(p1, p2, ch: TwoUserChannel, unit):
+    """The jamming objective at transmit power ``p1``, jamming power ``p2``."""
+    return _capacities(p1 / (1.0 + p2), unit) - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2), unit)
 
 
 def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
@@ -132,40 +141,44 @@ def grid_max_jamming(ch: TwoUserChannel, spec: GridSpec, unit: str = "bits"):
     best = (0.0, 0.0, 0.0)
     if p1 > 0:
         for p2 in _axis_blocks(ch.p2_max, spec.steps_per_axis, _BLOCK_ENTRIES):
-            values = (_capacities(p1 / (1.0 + p2), unit)
-                      - _capacities(ch.h1 * p1 / (1.0 + ch.h2 * p2), unit))
+            values = _jam_rates(p1, p2, ch, unit)
             i = int(values.argmax())  # first max = smallest p2 on ties
             if values[i] > best[2]:
                 best = (p1, float(p2[i]), float(values[i]))
     return best
 
 
-def _gap(closed_form, oracle, tol, who, found=""):
-    """``closed_form - oracle``; raises InternalError beyond ``tol``."""
-    gap = closed_form - oracle
-    if abs(gap) > tol:
-        raise InternalError(f"{who} disagree by {gap} (tolerance {tol}){found}")
-    return gap
+def _certify(who, powers, caps, rate_at, claimed, grid, found):
+    """``claimed - grid`` if ``powers`` lie in the box ``caps`` and ``rate_at``
+    them (-inf outside the set searched) is ``claimed``, which ``grid`` does
+    not beat, within ``VERIFY_TOL``; raises InternalError otherwise."""
+    at = rate_at(powers) if all(0.0 <= p <= c for p, c in zip(powers, caps)) else -math.inf
+    if at == -math.inf:
+        raise InternalError(f"{who}: closed-form powers {list(powers)} outside the set searched")
+    if not abs(claimed - at) <= VERIFY_TOL:
+        raise InternalError(f"{who}: rate {claimed}; the oracle's at powers {list(powers)} is {at}")
+    if grid - claimed > VERIFY_TOL:
+        raise InternalError(f"{who} disagree: grid beats closed form by {grid - claimed}{found}")
+    return claimed - grid
 
 
 def _default_steps(ch: StandardChannel) -> int:
-    return 11 if ch.num_users <= 3 else 6
+    """11 up to 3 users, else the most of 6..2 the grid cap admits (the optimum is a corner)."""
+    k = ch.num_users
+    return 11 if k <= 3 else next(s for s in (6, 5, 4, 3, 2) if s ** k <= MAX_GRID_POINTS)
 
 
 def verify_sum_rate(ch: StandardChannel, sol: SumRateSolution, steps=None) -> dict:
     """Cross-check ``max_sum_rate(ch)`` against ``grid_max_sum_rate``.
 
-    ``steps`` is the grid's points per axis, by default 11 for up to 3
-    users and 6 above.  Returns the ``"oracle"`` entry of the CLI's JSON
-    document; raises InternalError when the rates differ by more than
-    ``SUM_RATE_VERIFY_TOL``.
+    ``steps`` is the grid's points per axis (default ``_default_steps``).
+    Returns the CLI's ``"oracle"`` JSON entry, or raises InternalError.
     """
-    if steps is None:
-        steps = _default_steps(ch)
-    powers, rate = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
-    gap = _gap(sol.sum_rate, rate, SUM_RATE_VERIFY_TOL,
-               "sum-rate optimizer and grid oracle",
-               f"; oracle found p_star={list(powers)}")
+    import numpy as np
+    powers, rate = grid_max_sum_rate(ch, GridSpec(_default_steps(ch) if steps is None else steps))
+    gap = _certify("sum-rate optimizer and grid oracle", sol.powers, ch.p_max,
+                   lambda p: float(_sum_rates(np.array(p)[:, None], ch)[0]), sol.sum_rate, rate,
+                   f"; oracle found p_star={list(powers)}")
     return {"p_star": list(powers), "sum_rate": rate, "gap": gap}
 
 
@@ -174,26 +187,26 @@ def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps: int) -> 
     in their original order) against the matching grid oracle.
 
     The NoJam solution of the degenerate case came from the sum-rate
-    optimizer, so it is checked against ``grid_max_sum_rate`` on the
-    default grid, within ``SUM_RATE_VERIFY_TOL``.  Any other solution is
-    checked against ``grid_max_jamming`` within ``JAMMING_VERIFY_TOL``,
-    on ``max(2, p2_steps)`` points of the jamming power axis
-    ``[0, p2_max]``.
+    optimizer, so ``grid_max_sum_rate`` checks it on the default grid,
+    with its powers mapped back to the users of ``ch``.  Any other solution
+    is checked on the box by ``grid_max_jamming``, on ``max(2, p2_steps)``
+    points of the jamming power axis ``[0, p2_max]``.
 
-    Returns the ``"oracle"`` entry of the CLI's JSON document, whose
-    ``kind`` names the oracle; raises InternalError beyond tolerance.
+    Returns the CLI's ``"oracle"`` JSON entry, whose ``kind`` names the
+    oracle; raises InternalError when the closed form fails the module's rule.
     """
+    import numpy as np
     from .jamming import BRANCH_NO_JAM, CASE_DEGENERATE, TwoUserChannel
+    two, perm = TwoUserChannel.from_standard(ch)
     if sol.case_tag == CASE_DEGENERATE and sol.branch == BRANCH_NO_JAM:
-        powers, rate = grid_max_sum_rate(
-            ch, GridSpec(steps_per_axis=_default_steps(ch)))
-        gap = _gap(sol.secrecy_rate, rate, SUM_RATE_VERIFY_TOL,
-                   "jamming dispatch and sum-rate oracle")
-        return {"kind": "sum_rate", "p_star": list(powers), "rate": rate, "gap": gap}
-    two, _ = TwoUserChannel.from_standard(ch)
-    steps = max(2, p2_steps)
-    p1, p2, rate = grid_max_jamming(two, GridSpec(steps_per_axis=steps), ch.rate_unit)
-    gap = _gap(sol.secrecy_rate, rate, JAMMING_VERIFY_TOL,
-               "jamming solver and grid oracle",
-               f"; oracle found (p1, p2)=({p1}, {p2})")
+        powers = (sol.p1, sol.p2) if perm == (0, 1) else (sol.p2, sol.p1)
+        p_star, rate = grid_max_sum_rate(ch, GridSpec(_default_steps(ch)))
+        gap = _certify("jamming dispatch and sum-rate oracle", powers, ch.p_max,
+                       lambda p: float(_sum_rates(np.array(p)[:, None], ch)[0]),
+                       sol.secrecy_rate, rate, f"; oracle found p_star={list(p_star)}")
+        return {"kind": "sum_rate", "p_star": list(p_star), "rate": rate, "gap": gap}
+    p1, p2, rate = grid_max_jamming(two, GridSpec(max(2, p2_steps)), ch.rate_unit)
+    gap = _certify("jamming solver and grid oracle", (sol.p1, sol.p2), (two.p1_max, two.p2_max),
+                   lambda p: max(0.0, float(_jam_rates(*p, two, ch.rate_unit))),
+                   sol.secrecy_rate, rate, f"; oracle found (p1, p2)=({p1}, {p2})")
     return {"kind": "jamming", "powers": [p1, p2], "rate": rate, "gap": gap}

@@ -30,6 +30,11 @@ def random_feasible_powers(gen, ch, attempts=200):
     return tuple(0.0 for _ in ch.p_max)
 
 
+def tampered(sol, **change):
+    """A solution record ``sol`` with the fields in ``change`` replaced."""
+    return type(sol)(**{**{f: getattr(sol, f) for f in type(sol).__slots__}, **change})
+
+
 def random_case_a(gen, p_low=0.0, p_high=20.0):
     h1 = gen.uniform(0.02, 0.98)
     h2 = gen.uniform(1.0, 2.0)

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import gmacwt.cli as cli
 from gmacwt import RateRegion, build_region, channel_from_json, oracle, region
+
+from helpers import tampered
 
 RAW_DOC = {
     "users": [
@@ -392,7 +395,6 @@ def test_non_finite_or_overflowing_channel_exits_1(tmp_path, capsys, users):
     (["region", "{doc}", "--power", "1e308,1e308"],
      "error: powers: the users' total overflows (got inf)\n"),
     (["sweep", "{doc}", "--kind", "jam", "--p1", "1e308"],
-     "# jamming sweep: objective vs jamming power at p1=1e+308, rate_unit=bits\n"
      "error: p1*h1 + p2*h2: the users' total overflows (got inf)\n"),
 ])
 def test_powers_whose_totals_overflow_exit_1(tmp_path, argv, err):
@@ -537,7 +539,8 @@ def test_jam_sweep_and_oracle_count_the_same_points(tmp_path, capsys, monkeypatc
 
 def test_jam_verify_axis_ends_at_the_jammer_cap(tmp_path, capsys):
     # FullJam at p2 = 0.2005: the multiples of 1e-3 stop at 0.2, 3.0e-5
-    # below the closed form, beyond JAMMING_VERIFY_TOL
+    # below the closed form, so the axis must end at the cap for the
+    # oracle to reach the closed form's rate
     doc = write(tmp_path, {"standard": True, "users": [
         {"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 0.2005}]})
     code, out, _ = run(capsys, "jam", doc, "--verify")
@@ -545,6 +548,55 @@ def test_jam_verify_axis_ends_at_the_jammer_cap(tmp_path, capsys):
     result = json.loads(out)
     assert result["branch"] == "FullJam"
     assert result["oracle"]["powers"] == [10.0, 0.2005]
+
+
+def test_jam_verify_passes_a_grid_that_falls_short(tmp_path, capsys):
+    """A coarse jamming axis misses the interior root: the grid's best is
+    3.8e-5 below the closed form, which is no inconsistency."""
+    doc = write(tmp_path, {"standard": True, "rate_unit": "nats", "users": [
+        {"h": 1.539, "power_max": 5.26}, {"h": 2.366, "power_max": 11.04}]})
+    code, out, err = run(capsys, "jam", doc, "--verify", "--p2-step", "0.5")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["case_tag"], result["branch"]) == ("B", "InteriorRoot")
+    assert result["oracle"]["gap"] == pytest.approx(3.806e-5, rel=1e-3)
+
+
+@pytest.mark.parametrize("k", [9, 12, 16])
+def test_maxsum_verify_default_grid_fits_the_cap(tmp_path, capsys, k):
+    """Above 8 users the default grid takes fewer steps, as the grid cap
+    allows; the optimum is a box corner, so every such grid holds it."""
+    doc = write(tmp_path, {"standard": True, "users": [
+        {"h": 0.5, "power_max": 1.0 + j} for j in range(k)]})
+    code, out, err = run(capsys, "maxsum", doc, "--verify")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["oracle"]["p_star"] == result["p_star"]
+
+
+@pytest.mark.parametrize("argv,module,name,change", [
+    (["maxsum", "{doc}", "--verify"], "sumrate", "max_sum_rate",
+     lambda sol: {"sum_rate": sol.sum_rate + 2e-9}),
+    (["maxsum", "{doc}", "--verify"], "sumrate", "max_sum_rate",
+     lambda sol: {"powers": (0.0, 10.0)}),
+    (["jam", "{doc}", "--verify"], "jamming", "solve_jamming",
+     lambda sol: {"secrecy_rate": sol.secrecy_rate + 2e-9}),
+    (["jam", "{doc}", "--verify"], "jamming", "solve_jamming", lambda sol: {"p2": 11.0}),
+])
+def test_verify_of_a_tampered_answer_exits_2(tmp_path, capsys, monkeypatch,
+                                             argv, module, name, change):
+    """A rate off the oracle's formula at its own powers, or powers outside
+    the set searched."""
+    solver = getattr(import_module(f"gmacwt.{module}"), name)
+
+    def tampered_solver(*args):
+        sol = solver(*args)
+        return tampered(sol, **change(sol))
+    monkeypatch.setattr(f"gmacwt.{module}.{name}", tampered_solver)
+    doc = write(tmp_path, CASE_A_DOC)
+    code, out, err = run(capsys, *(doc if a == "{doc}" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
 
 
 def test_region_sweep_row_cap(tmp_path, capsys):

@@ -24,7 +24,7 @@ from gmacwt import (
 from gmacwt.oracle import _BLOCK_ENTRIES, _axis_blocks
 from gmacwt.region import FEASIBILITY_TOL, MAX_GRID_POINTS, _capacities, _grid_axis
 
-from helpers import random_case_a, random_case_b, random_channel, rng
+from helpers import random_case_a, random_case_b, random_channel, rng, tampered
 
 
 def test_grid_spec_validation():
@@ -422,8 +422,10 @@ def test_grid_jamming_memory_does_not_grow_with_the_axis():
 
 
 def test_verify_tolerances():
-    """The closed forms must meet the oracles at these tolerances."""
-    assert (oracle.SUM_RATE_VERIFY_TOL, oracle.JAMMING_VERIFY_TOL) == (1e-9, 1e-5)
+    """One tolerance for both closed forms: at the solver's own powers, and
+    for a grid point that beats the claimed rate."""
+    assert oracle.VERIFY_TOL == 1e-9
+    assert not hasattr(oracle, "JAMMING_VERIFY_TOL") and not hasattr(oracle, "_gap")
 
 
 def test_verify_sum_rate_default_grid(monkeypatch):
@@ -437,6 +439,13 @@ def test_verify_sum_rate_default_grid(monkeypatch):
         assert list(doc) == ["p_star", "sum_rate", "gap"]
     verify_sum_rate(ch, max_sum_rate(ch), steps=3)
     assert steps == [11, 11, 6, 6, 3]
+    # above 8 users a 6-step grid passes MAX_GRID_POINTS (6 ** 9 > 10 ** 7);
+    # the optimum is a box corner, on every axis, so fewer steps still hold it
+    for k in (9, 12, 16):
+        ch = StandardChannel(h=(0.5,) * k, p_max=(1.0,) * k)
+        doc = verify_sum_rate(ch, max_sum_rate(ch))
+        assert list(doc) == ["p_star", "sum_rate", "gap"] and abs(doc["gap"]) <= 1e-9
+    assert steps[5:] == [5, 3, 2]
 
 
 def test_verify_raises_beyond_tolerance(monkeypatch):
@@ -452,9 +461,14 @@ def test_verify_raises_beyond_tolerance(monkeypatch):
     case_a = StandardChannel(h=(0.4, 1.4), p_max=(10, 10))
     sol = solve_jamming(TwoUserChannel.from_standard(case_a)[0])
     monkeypatch.setattr(oracle, "grid_max_jamming",
-                        lambda two, spec, unit: (10.0, 0.5, sol.secrecy_rate - 2e-5))
+                        lambda two, spec, unit: (10.0, 0.5, sol.secrecy_rate + 2e-9))
     with pytest.raises(InternalError, match=r"jamming solver .* \(p1, p2\)=\(10.0, 0.5\)"):
         verify_jamming(case_a, sol, 11)
+
+    # a grid may fall short of the closed form by any amount
+    monkeypatch.setattr(oracle, "grid_max_jamming",
+                        lambda two, spec, unit: (10.0, 0.5, sol.secrecy_rate - 2e-5))
+    assert verify_jamming(case_a, sol, 11)["gap"] == pytest.approx(2e-5, rel=1e-9)
 
 
 def test_verify_jamming_picks_the_oracle():
@@ -472,3 +486,95 @@ def test_verify_jamming_picks_the_oracle():
     doc = verify_jamming(ch, sol, 1)  # at least 2 points are used: {0, 0.2}
     assert doc["kind"] == "jamming" and doc["powers"] == [10.0, 0.2]
     assert list(doc) == ["kind", "powers", "rate", "gap"]
+
+
+BELOW_1 = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                    st.floats(1.0 - 1e-12, 1.0, exclude_max=True))
+FROM_1 = st.one_of(st.floats(1.0, 4.0), st.floats(1.0, 1.0 + 1e-12))
+CAPS = st.one_of(st.floats(0.0, 20.0), st.floats(1e-6, 1e6))
+
+
+@st.composite
+def two_user_channels(draw):
+    """A case and a two-user channel of that case, in either user order:
+    gains within 1e-12 of 1 included, case B's gains from 2e-12 apart, and
+    the degenerate case with both gains below 1 or equal ones from 1 up."""
+    case = draw(st.sampled_from(["A", "B", "Degenerate"]))
+    if case == "A":
+        h = (draw(BELOW_1), draw(FROM_1))
+    elif case == "B":
+        h1 = draw(FROM_1)
+        h = (h1, h1 + draw(st.one_of(st.floats(2e-12, 1e-9), st.floats(1e-9, 3.0))))
+    elif draw(st.booleans()):
+        h = (draw(BELOW_1), draw(BELOW_1))
+    else:
+        h1 = draw(FROM_1)
+        h = (h1, h1 + draw(st.floats(0.0, 0.5e-12)))
+    p = (draw(CAPS), draw(CAPS))
+    if draw(st.booleans()):
+        h, p = h[::-1], p[::-1]
+    return case, StandardChannel(h=h, p_max=p, rate_unit=draw(st.sampled_from(["bits", "nats"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_user_channels(), st.integers(2, 2001))
+def test_verify_jamming_passes_every_honest_answer(case_and_channel, steps):
+    """The jamming solver's answer is certified on any jamming axis, however
+    coarse: a grid that falls short of the closed form is no fault."""
+    case, ch = case_and_channel
+    sol = solve_jamming(TwoUserChannel.from_standard(ch)[0], ch.rate_unit)
+    assert sol.case_tag == case
+    doc = verify_jamming(ch, sol, steps)
+    assert doc["gap"] >= -oracle.VERIFY_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.one_of(BELOW_1, FROM_1), min_size=k, max_size=k),
+    st.lists(CAPS, min_size=k, max_size=k))),
+    st.integers(2, 11), st.sampled_from(["bits", "nats"]))
+def test_verify_sum_rate_passes_every_honest_answer(case, steps, unit):
+    h, p_max = case
+    ch = StandardChannel(h=h, p_max=p_max, rate_unit=unit)
+    assert verify_sum_rate(ch, max_sum_rate(ch), steps)["gap"] >= -oracle.VERIFY_TOL
+
+
+SUM_CH = StandardChannel(h=(0.1, 2.0), p_max=(10, 10))
+CASE_A_CH = StandardChannel(h=(1.4, 0.4), p_max=(0.3, 10))  # sorted: users 2, 1
+DEGENERATE_CH = StandardChannel(h=(0.2, 0.1), p_max=(10, 5))  # sorted: users 2, 1
+
+
+@pytest.mark.parametrize("change,match", [
+    (lambda sol: {"sum_rate": sol.sum_rate + 2e-9},
+     r"sum-rate optimizer .*: rate .*; the oracle's at powers \[10.0, 0.0\] is"),
+    (lambda sol: {"powers": (10.0, 10.0 * (1 + 1e-15))}, "outside the set searched"),
+    (lambda sol: {"powers": (0.0, 10.0)}, r"powers \[0.0, 10.0\] outside the set searched"),
+    (lambda sol: {"powers": (-1e-300, 0.0)}, "outside the set searched"),
+])
+def test_verify_sum_rate_refuses_a_tampered_answer(change, match):
+    """A rate off the formula at its own powers, or powers outside the
+    allowable set (past a cap, or violating a subset constraint)."""
+    sol = max_sum_rate(SUM_CH)
+    verify_sum_rate(SUM_CH, sol)
+    with pytest.raises(InternalError, match=match):
+        verify_sum_rate(SUM_CH, tampered(sol, **change(sol)))
+
+
+@pytest.mark.parametrize("ch,change,match", [
+    (CASE_A_CH, lambda sol: {"secrecy_rate": sol.secrecy_rate + 2e-9},
+     r"jamming solver .*: rate .*; the oracle's at powers \[10.0, 0.3\] is"),
+    (CASE_A_CH, lambda sol: {"p2": 0.3 * (1 + 1e-15)}, "outside the set searched"),
+    (CASE_A_CH, lambda sol: {"p1": 20.0}, r"powers \[20.0, 0.3\] outside the set searched"),
+    (CASE_A_CH, lambda sol: {"p2": -1.0}, "outside the set searched"),
+    (DEGENERATE_CH, lambda sol: {"secrecy_rate": sol.secrecy_rate + 2e-9},
+     r"jamming dispatch and sum-rate oracle: rate .* at powers \[10.0, 5.0\]"),
+    (DEGENERATE_CH, lambda sol: {"p1": 6.0}, r"powers \[10.0, 6.0\] outside the set searched"),
+])
+def test_verify_jamming_refuses_a_tampered_answer(ch, change, match):
+    """The same rule on the box, and on the allowable set for the
+    degenerate case, whose powers are named in the users' own order."""
+    sol = solve_jamming(TwoUserChannel.from_standard(ch)[0])
+    verify_jamming(ch, sol, 11)
+    with pytest.raises(InternalError, match=match):
+        verify_jamming(ch, tampered(sol, **change(sol)), 11)
+
