@@ -30,23 +30,20 @@ import sys
 
 from .channel import StandardChannel, _as_float, channel_to_json, load_channel
 from .errors import InternalError, ValidationError
-from .region import MAX_GRID_POINTS, _check_grid, _sweep_table, build_region, is_feasible
+from .region import (MAX_GRID_POINTS, _check_grid, _step_points, _sweep_table, build_region,
+                     is_feasible)
 
 
 def _p2_points(step, p2_max):
-    """The jamming-power grid's point count for ``--p2-step``: the
-    multiples of the step from 0 up to ``p2_max``, the last allowed 1e-9
-    steps past it for the rounding of ``p2_max / step``.  The jamming
-    sweep and the jamming oracle both take their count from here.  The
-    ratio is held to the cap before ``int()``, which an infinite ratio
-    would break."""
+    """``region._step_points`` for ``--p2-step``, as the jamming sweep and an
+    explicit oracle grid take it; refused past the cap."""
     step = _as_float("p2-step", step, ">")
-    ratio = p2_max / step
-    if ratio + 1 > MAX_GRID_POINTS:
+    count = _step_points(step, p2_max)
+    if count > MAX_GRID_POINTS:
         raise ValidationError(
             f"p2-step: {step} would put more than {MAX_GRID_POINTS} grid "
             f"points on [0, {p2_max}]")
-    return int(ratio + 1e-9) + 1
+    return count
 
 
 def _fmt(value) -> str:
@@ -152,7 +149,8 @@ def _cmd_jam(args):
     doc = sol.to_json_dict(permutation=perm)
     if args.verify:
         from .oracle import verify_jamming
-        doc["oracle"] = verify_jamming(ch, sol, _p2_points(args.p2_step, two.p2_max))
+        steps = None if args.p2_step is None else max(2, _p2_points(args.p2_step, two.p2_max))
+        doc["oracle"] = verify_jamming(ch, sol, steps)
     return _json_doc(doc)
 
 
@@ -238,8 +236,8 @@ def _build_parser():
     common(p)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the grid oracle")
-    p.add_argument("--p2-step", type=float, default=1e-3,
-                   help="oracle grid step on the jamming power (default 1e-3)")
+    p.add_argument("--p2-step", type=float, default=None,
+                   help="oracle grid step on the jamming power (default 1e-3, at most 10^7 points)")
 
     p = sub.add_parser("sweep", help="CSV sweep data for plotting")
     common(p)

@@ -20,7 +20,7 @@ from .channel import StandardChannel, _check_rate_unit
 from .errors import InternalError
 from .record import Record, setfield
 from .region import (MAX_GRID_POINTS, _axis_blocks, _capacities, _check_grid, _grid_axis,
-                     _infeasible)
+                     _infeasible, _step_points)
 
 if TYPE_CHECKING:
     from .jamming import JammingSolution, TwoUserChannel
@@ -168,44 +168,51 @@ def _default_steps(ch: StandardChannel) -> int:
     return 11 if k <= 3 else next(s for s in (6, 5, 4, 3, 2) if s ** k <= MAX_GRID_POINTS)
 
 
+def _certify_sum_rate(who, ch: StandardChannel, powers, claimed, steps):
+    """``_certify`` on ``grid_max_sum_rate``'s grid; returns ``(p_star, rate, gap)``."""
+    import numpy as np
+    p_star, rate = grid_max_sum_rate(ch, GridSpec(steps))
+    gap = _certify(who, powers, ch.p_max, lambda p: float(_sum_rates(np.array(p)[:, None], ch)[0]),
+                   claimed, rate, f"; oracle found p_star={list(p_star)}")
+    return list(p_star), rate, gap
+
+
 def verify_sum_rate(ch: StandardChannel, sol: SumRateSolution, steps=None) -> dict:
     """Cross-check ``max_sum_rate(ch)`` against ``grid_max_sum_rate``.
 
-    ``steps`` is the grid's points per axis (default ``_default_steps``).
+    ``steps`` is the grid's points per axis, held to ``_check_grid`` (default ``_default_steps``).
     Returns the CLI's ``"oracle"`` JSON entry, or raises InternalError.
     """
-    import numpy as np
-    powers, rate = grid_max_sum_rate(ch, GridSpec(_default_steps(ch) if steps is None else steps))
-    gap = _certify("sum-rate optimizer and grid oracle", sol.powers, ch.p_max,
-                   lambda p: float(_sum_rates(np.array(p)[:, None], ch)[0]), sol.sum_rate, rate,
-                   f"; oracle found p_star={list(powers)}")
-    return {"p_star": list(powers), "sum_rate": rate, "gap": gap}
+    steps = _check_grid("steps", _default_steps(ch) if steps is None else steps, ch.num_users)
+    p_star, rate, gap = _certify_sum_rate("sum-rate optimizer and grid oracle", ch, sol.powers,
+                                          sol.sum_rate, steps)
+    return {"p_star": p_star, "sum_rate": rate, "gap": gap}
 
 
-def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps: int) -> dict:
+def verify_jamming(ch: StandardChannel, sol: JammingSolution, p2_steps=None) -> dict:
     """Cross-check ``solve_jamming`` on the two-user channel ``ch`` (users
     in their original order) against the matching grid oracle.
 
-    The NoJam solution of the degenerate case came from the sum-rate
-    optimizer, so ``grid_max_sum_rate`` checks it on the default grid,
-    with its powers mapped back to the users of ``ch``.  Any other solution
-    is checked on the box by ``grid_max_jamming``, on ``max(2, p2_steps)``
-    points of the jamming power axis ``[0, p2_max]``.
+    The degenerate case's NoJam solution came from the sum-rate optimizer,
+    so ``grid_max_sum_rate`` checks it on the default grid, its powers mapped
+    back to the users of ``ch``; any other, ``grid_max_jamming`` on the box,
+    with ``p2_steps`` points on ``[0, p2_max]`` (``_check_grid``'s one axis,
+    checked either way; default 1e-3 apart, or the cap where that is finer).
 
     Returns the CLI's ``"oracle"`` JSON entry, whose ``kind`` names the
     oracle; raises InternalError when the closed form fails the module's rule.
     """
-    import numpy as np
     from .jamming import BRANCH_NO_JAM, CASE_DEGENERATE, TwoUserChannel
     two, perm = TwoUserChannel.from_standard(ch)
+    if p2_steps is None:  # both ends of an axis shorter than the default spacing
+        p2_steps = 2 if two.p2_max < 1e-3 else min(_step_points(1e-3, two.p2_max), MAX_GRID_POINTS)
+    p2_steps = _check_grid("p2_steps", p2_steps, 1)
     if sol.case_tag == CASE_DEGENERATE and sol.branch == BRANCH_NO_JAM:
         powers = (sol.p1, sol.p2) if perm == (0, 1) else (sol.p2, sol.p1)
-        p_star, rate = grid_max_sum_rate(ch, GridSpec(_default_steps(ch)))
-        gap = _certify("jamming dispatch and sum-rate oracle", powers, ch.p_max,
-                       lambda p: float(_sum_rates(np.array(p)[:, None], ch)[0]),
-                       sol.secrecy_rate, rate, f"; oracle found p_star={list(p_star)}")
-        return {"kind": "sum_rate", "p_star": list(p_star), "rate": rate, "gap": gap}
-    p1, p2, rate = grid_max_jamming(two, GridSpec(max(2, p2_steps)), ch.rate_unit)
+        p_star, rate, gap = _certify_sum_rate("jamming dispatch and sum-rate oracle", ch, powers,
+                                              sol.secrecy_rate, _default_steps(ch))
+        return {"kind": "sum_rate", "p_star": p_star, "rate": rate, "gap": gap}
+    p1, p2, rate = grid_max_jamming(two, GridSpec(p2_steps), ch.rate_unit)
     gap = _certify("jamming solver and grid oracle", (sol.p1, sol.p2), (two.p1_max, two.p2_max),
                    lambda p: max(0.0, float(_jam_rates(*p, two, ch.rate_unit))),
                    sol.secrecy_rate, rate, f"; oracle found (p1, p2)=({p1}, {p2})")

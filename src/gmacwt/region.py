@@ -40,10 +40,8 @@ if TYPE_CHECKING:
 #: optimizers that return points on the boundary.
 FEASIBILITY_TOL = 1e-12
 
-#: Slack allowed when testing membership of a rate vector in a region.
+#: Slack allowed on a rate: in region membership, and by the vertices.
 CONTAINS_TOL = 1e-12
-
-_VERTEX_TOL = 1e-12
 
 #: Hard cap on the number of grid points an oracle or a jamming sweep may
 #: evaluate.
@@ -69,6 +67,13 @@ def _check_grid(name, steps, axes, cap=MAX_GRID_POINTS):
         raise ValidationError(
             f"{name}: grid would have {steps ** axes} points (cap {cap})")
     return steps
+
+
+def _step_points(step, p_max):
+    """Points of ``{0, step, 2 step, ...}`` on ``[0, p_max]``, the last allowed 1e-9
+    steps past it for rounding; ``MAX_GRID_POINTS + 1`` for any count past the cap."""
+    ratio = p_max / step  # may be inf, which int() cannot take
+    return int(ratio + 1e-9) + 1 if ratio + 1 <= MAX_GRID_POINTS else MAX_GRID_POINTS + 1
 
 
 def awgn_capacity(snr: float, unit: str = "bits") -> float:
@@ -345,7 +350,7 @@ class RateRegion(Record):
     ``bounds[m - 1]`` is the bound of the subset with bitmask ``m`` (user
     ``k`` is bit ``k``), so there are 2^K - 1 of them in ascending bitmask
     order.  ``feasible`` records whether the powers lie in the allowable
-    set; if they do, every bound is nonnegative.
+    set; if they do, every bound is at least ``-FEASIBILITY_TOL``.
     """
 
     __slots__ = ("bounds", "feasible", "rate_unit")
@@ -429,14 +434,14 @@ def _vertices(bounds):
     if len(bounds) > 3:
         return None
     b1, b2, b12 = bounds
-    if min(b1, b2, b12) < -_VERTEX_TOL:
+    if min(b1, b2, b12) < -CONTAINS_TOL:
         return ()
     b1, b2, b12 = max(b1, 0.0), max(b2, 0.0), max(b12, 0.0)
     x, y = min(b1, b12), min(b2, b12)
     kept = [(0.0, 0.0)]
     for pt in ((x, 0.0), (x, min(y, b12 - x)), (min(x, b12 - y), y), (0.0, y)):
         # skip repeats of the previous vertex and of (0, 0), which closes the polygon
-        if all(max(abs(pt[0] - q[0]), abs(pt[1] - q[1])) > _VERTEX_TOL
+        if all(max(abs(pt[0] - q[0]), abs(pt[1] - q[1])) > CONTAINS_TOL
                for q in (kept[-1], kept[0])):
             kept.append(pt)
     return tuple(kept)

@@ -486,7 +486,8 @@ def test_bad_p2_step_on_a_degenerate_channel_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("users,argv", [
-    ([{"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 1e300}], ["jam", "--verify"]),
+    ([{"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 1e300}],
+     ["jam", "--verify", "--p2-step", "1e-3"]),
     (GOOD_DOC["users"], ["sweep", "--kind", "region", "--grid-steps", "100000"]),
     (CASE_A_DOC["users"], ["sweep", "--kind", "jam", "--p2-step", "1e-9"]),
     # p2_max / step is inf, which int() cannot take
@@ -512,11 +513,27 @@ def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsy
     # power, so 1e-3 on [0, 12000] needs 12,000,001 of them.
     doc = write(tmp_path, {"standard": True, "users": [
         {"h": 0.4, "power_max": 10}, {"h": 1.4, "power_max": 12000}]})
-    code, out, err = run(capsys, "jam", doc, "--verify")
+    code, out, err = run(capsys, "jam", doc, "--verify", "--p2-step", "0.001")
     assert code == 1
     assert out == ""
     assert err.startswith("error: p2-step: 0.001 ") and len(err.splitlines()) == 1
     assert f"more than {region.MAX_GRID_POINTS} grid points" in err
+
+
+@pytest.mark.parametrize("h,p_max", [
+    ((0.4, 1.4), (10, 1.2e4)),
+    ((0.4, 1.4), (10, 1e300)),
+    ((0.5, 2.0), (2, 2e4)),
+    ((0.5, 0.7), (2, 2e4)),  # degenerate: the sum-rate oracle checks it
+])
+def test_jam_verify_default_grid_is_never_refused(tmp_path, capsys, h, p_max):
+    """Without --p2-step the oracle takes its own default, which fits the
+    grid cap however large the jammer's cap."""
+    doc = write(tmp_path, {"standard": True, "users": [
+        {"h": g, "power_max": p} for g, p in zip(h, p_max)]})
+    code, out, err = run(capsys, "jam", doc, "--verify")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle"]["gap"] >= -1e-9
 
 
 def test_jam_sweep_and_oracle_count_the_same_points(tmp_path, capsys, monkeypatch):

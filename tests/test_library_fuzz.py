@@ -59,6 +59,8 @@ NUMBERS = st.one_of(st.sampled_from(EXTREMES), st.one_of(ORDINARY, NEAR_ONE))
 SIGNED = st.builds(lambda x, sign: sign * x, NUMBERS, st.sampled_from([1.0, -1.0]))
 UNITS = st.sampled_from(["bits", "nats"])
 STEPS = st.integers(2, 4)
+#: A grid count, as ``GridSpec``'s entry draws it, with a bool, strings and 0.
+COUNTS = st.one_of(STEPS, NUMBERS, st.sampled_from([True, "3", "x", 0]))
 
 
 def _vector(k, values=NUMBERS):
@@ -141,13 +143,14 @@ def _grid_max_sum_rate(draw):
 
 def _verify_sum_rate(draw):
     ch = StandardChannel(**draw(_standard()))
-    return verify_sum_rate(ch, max_sum_rate(ch), draw(STEPS))
+    return verify_sum_rate(ch, max_sum_rate(ch), draw(COUNTS))
 
 
 def _verify_jamming(draw):
     ch = StandardChannel(**draw(_standard(st.just(2))))
     two, _ = TwoUserChannel.from_standard(ch)
-    return verify_jamming(ch, solve_jamming(two, ch.rate_unit), draw(STEPS))
+    # never None: on these caps the default is a 10^7-point axis per example
+    return verify_jamming(ch, solve_jamming(two, ch.rate_unit), draw(COUNTS))
 
 
 #: Each public entry (and ``sum_secrecy_rate``): a call built from draws,
@@ -183,8 +186,8 @@ ENTRIES = {
     "standardize": (_standardize, (*RAW, *STANDARD)),
     "union_sweep": (lambda draw: union_sweep(StandardChannel(**draw(_standard(st.just(2)))),
                                              draw(STEPS)), ("grid_steps", *STANDARD)),
-    "verify_jamming": (_verify_jamming, STANDARD),
-    "verify_sum_rate": (_verify_sum_rate, STANDARD),
+    "verify_jamming": (_verify_jamming, ("p2_steps", *STANDARD)),
+    "verify_sum_rate": (_verify_sum_rate, ("steps", *STANDARD)),
     "sum_secrecy_rate": (_sum_secrecy_rate, ("powers", *STANDARD)),
 }
 

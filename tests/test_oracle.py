@@ -483,9 +483,50 @@ def test_verify_jamming_picks_the_oracle():
 
     ch = StandardChannel(h=(1.4, 0.4), p_max=(0.2, 10.0))  # full jamming
     sol = solve_jamming(TwoUserChannel.from_standard(ch)[0])
-    doc = verify_jamming(ch, sol, 1)  # at least 2 points are used: {0, 0.2}
+    doc = verify_jamming(ch, sol, 2)  # {0, 0.2}
     assert doc["kind"] == "jamming" and doc["powers"] == [10.0, 0.2]
     assert list(doc) == ["kind", "powers", "rate", "gap"]
+    with pytest.raises(ValidationError, match="^p2_steps:"):
+        verify_jamming(ch, sol, 1)
+
+
+@pytest.mark.parametrize("count", [0, 1, -5, True, 2.5, "x", 10 ** 8])
+@pytest.mark.parametrize("ch", [StandardChannel(h=(0.4, 1.4), p_max=(10, 10)),
+                                StandardChannel(h=(0.2, 0.1), p_max=(10, 10))])
+def test_verify_jamming_refuses_a_bad_count_by_its_name(ch, count):
+    """Also on the degenerate channel, whose sum-rate oracle does not use it."""
+    sol = solve_jamming(TwoUserChannel.from_standard(ch)[0])
+    with pytest.raises(ValidationError, match="^p2_steps: "):
+        verify_jamming(ch, sol, count)
+
+
+@pytest.mark.parametrize("count", [0, 1, -5, True, 2.5, "x", 216])  # 216 ** 3 > 10 ** 7
+def test_verify_sum_rate_refuses_a_bad_count_by_its_name(count):
+    ch = StandardChannel(h=(0.1, 0.5, 2.0), p_max=(1, 2, 3))
+    with pytest.raises(ValidationError, match="^steps: "):
+        verify_sum_rate(ch, max_sum_rate(ch), count)
+
+
+@pytest.mark.parametrize("h", [(0.4, 1.4), (1.5, 2.5)])
+@pytest.mark.parametrize("p2_max", [0.0, 5e-4, 1e-3, 0.2005, 0.3, 3.0, 1234.5678, 9999.998])
+def test_verify_jamming_default_is_the_1e_3_spacing(h, p2_max):
+    """Up to p2_max = 10^4 the default is the axis that a step of 1e-3 made
+    (at least 2 points), to the last bit."""
+    ch = StandardChannel(h=h, p_max=(10, p2_max))
+    sol = solve_jamming(TwoUserChannel.from_standard(ch)[0])
+    assert verify_jamming(ch, sol) == verify_jamming(ch, sol, max(2, int(p2_max / 1e-3 + 1e-9) + 1))
+
+
+@pytest.mark.parametrize("p2_max", [1e4, 1.2e4, 1e300, 1e308])
+def test_verify_jamming_default_takes_the_cap_where_1e_3_is_finer(monkeypatch, p2_max):
+    ch = StandardChannel(h=(0.4, 1.4), p_max=(10, p2_max))
+    sol = solve_jamming(TwoUserChannel.from_standard(ch)[0])
+    counts = []
+    real = oracle.grid_max_jamming
+    monkeypatch.setattr(oracle, "grid_max_jamming", lambda two, spec, unit: counts.append(
+        spec.steps_per_axis) or real(two, spec, unit))
+    assert verify_jamming(ch, sol)["gap"] >= -oracle.VERIFY_TOL
+    assert counts == [MAX_GRID_POINTS]
 
 
 BELOW_1 = st.one_of(st.floats(0.0, 1.0, exclude_max=True),

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmacwt import StandardChannel, ValidationError, build_region, is_feasible, union_sweep
 from gmacwt import region as region_module
@@ -350,6 +351,35 @@ def test_contains_refuses_a_rate_vector_that_is_not_finite_numbers(rates, match)
 
 def test_contains_takes_rates_of_any_sign():
     assert build_region((10, 10), CH2).contains((-1.0, 0.5))
+
+
+NEAR = st.floats(-1e-12, 1e-12)
+
+
+@st.composite
+def _powers_on_either_side(draw):
+    """Gains and powers of K = 1 or 2 users: in the box at random, where
+    feasible and infeasible both occur, or on the boundary of the allowable
+    set within 1e-12 (a gain of 1 for one user; ``h2 P2 = h1 - 1`` for two)."""
+    k = draw(st.sampled_from([1, 2]))
+    h = [draw(st.floats(0.01, 3.0)) for _ in range(k)]
+    p = [draw(st.floats(0.0, 20.0)) for _ in range(k)]
+    if draw(st.booleans()):  # the boundary
+        if k == 1:
+            h[0] = 1.0 + draw(NEAR)
+        else:
+            h[0] = draw(st.floats(1.0, 3.0))
+            p[1] = (h[0] - 1.0) / h[1] * (1.0 + draw(NEAR))
+    return StandardChannel(h=h, p_max=[x + 1.0 for x in p]), p
+
+
+@settings(max_examples=500, deadline=None)
+@given(_powers_on_either_side())
+def test_zero_rate_is_in_the_region_iff_its_polygon_is_not_empty(case):
+    """``contains`` and ``vertices`` read the bounds at one rate tolerance."""
+    ch, p = case
+    region = build_region(p, ch)
+    assert region.contains((0.0,) * ch.num_users) == bool(region.vertices)
 
 
 def test_vertices_inside_and_facet_perturbations_outside():
