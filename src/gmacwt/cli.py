@@ -19,6 +19,14 @@ Each command imports the modules it runs: ``standardize``, ``feasible``
 and ``region`` never load ``sumrate``, ``jamming`` or ``oracle``,
 ``maxsum`` loads ``sumrate`` (and ``oracle`` with ``--verify``) but never
 ``jamming``, and ``jam`` loads ``sumrate`` only for two gains below 1.
+
+``run()`` is the process entry (the ``gmacwt`` script and ``python -m
+gmacwt.cli``).  It sets ``OPENBLAS_NUM_THREADS=1`` before ``main()`` can
+load numpy, unless the caller's environment already holds the variable:
+gmacwt calls no BLAS routine, and the worker thread that OpenBLAS
+otherwise starts on load spins for about 0.1 s of CPU, which slows the
+whole process when no core is free for it.  ``main(argv)`` changes no
+environment, so tests and other in-process callers see none of this.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .channel import StandardChannel, _as_float, channel_to_json, load_channel
@@ -276,5 +285,12 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run():
+    """The ``gmacwt`` process: ``main()`` on ``sys.argv`` with OpenBLAS held to one
+    thread unless the caller set ``OPENBLAS_NUM_THREADS``; exits with its status."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -71,9 +71,9 @@ def _check_grid(name, steps, axes, cap=MAX_GRID_POINTS):
 
 def _step_points(step, p_max):
     """Points of ``{0, step, 2 step, ...}`` on ``[0, p_max]``, the last allowed 1e-9
-    steps past it for rounding; ``MAX_GRID_POINTS + 1`` for any count past the cap."""
-    ratio = p_max / step  # may be inf, which int() cannot take
-    return int(ratio + 1e-9) + 1 if ratio + 1 <= MAX_GRID_POINTS else MAX_GRID_POINTS + 1
+    steps past it for rounding; ``MAX_GRID_POINTS + 1`` for any count past the cap.
+    The ratio is clamped to the cap first, so an infinite one never reaches ``int()``."""
+    return int(min(p_max / step, MAX_GRID_POINTS) + 1e-9) + 1
 
 
 def awgn_capacity(snr: float, unit: str = "bits") -> float:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import gmacwt.cli as cli
-from gmacwt import RateRegion, build_region, channel_from_json, oracle, region
+from gmacwt import (RateRegion, StandardChannel, TwoUserChannel, ValidationError, build_region,
+                    channel_from_json, oracle, region)
 
 from helpers import tampered
 
@@ -506,6 +507,20 @@ def test_oversized_grid_exits_1(tmp_path, capsys, users, argv):
         assert f"(cap {region.MAX_SWEEP_POINTS})" in err
     else:
         assert f"more than {region.MAX_GRID_POINTS} grid points" in err
+
+
+def test_a_step_count_is_refused_exactly_past_the_cap():
+    """``p2_max / step`` of 9999999.5 puts exactly 10^7 points on the axis,
+    which the cap admits; 10^7 and an infinite ratio put more."""
+    cap = region.MAX_GRID_POINTS
+    two, _ = TwoUserChannel.from_standard(StandardChannel((0.4, 1.4), (10, 9999999.5)))
+    assert two.p2_max == 9999999.5
+    assert region._step_points(1.0, two.p2_max) == cap
+    assert cli._p2_points(1.0, two.p2_max) == cap
+    for step, p2_max in ((1.0, 1e7), (5e-324, 1e300)):
+        assert region._step_points(step, p2_max) == cap + 1
+        with pytest.raises(ValidationError, match=f"more than {cap} grid points"):
+            cli._p2_points(step, p2_max)
 
 
 def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsys):
