@@ -25,13 +25,24 @@ gmacwt.cli``).  It sets ``OPENBLAS_NUM_THREADS=1`` before ``main()`` can
 load numpy, unless the caller's environment already holds the variable:
 gmacwt calls no BLAS routine, and the worker thread that OpenBLAS
 otherwise starts on load spins for about 0.1 s of CPU, which slows the
-whole process when no core is free for it.  ``main(argv)`` changes no
-environment, so tests and other in-process callers see none of this.
+whole process when no core is free for it.  Once ``main()`` returns, ``run()``
+runs the ``atexit`` handlers, flushes stdout and stderr and ends the process
+with ``os._exit``: the interpreter's teardown, which frees every module and
+collects garbage for 7-25 ms and writes nothing, is skipped.  Under a tracer
+or profiler it exits with ``sys.exit`` instead, so the tool can still report.
+``main(argv)`` changes no environment and never exits, so tests and other
+in-process callers see none of this.
+
+Output is written and flushed inside ``main()``: a stdout that cannot take
+it (a closed pipe, a full disk, no fd 1) is refused like an ``--out`` file
+that cannot be written, with one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import errno
 import json
 import math
 import os
@@ -262,14 +273,22 @@ def _build_parser():
 
 
 def _emit(payload, out):
-    if not out:
-        sys.stdout.write(payload)
+    """Write ``payload`` to ``out``, or to stdout and flush it, so that a
+    write that fails (a closed pipe, a full disk, no fd 1) is a refusal."""
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValidationError(f"out: cannot write {out!r} ({exc.strerror})") from None
         return
+    if sys.stdout is None:  # the interpreter started without fd 1
+        raise ValidationError(f"stdout: cannot write ({os.strerror(errno.EBADF)})")
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        sys.stdout.write(payload)
+        sys.stdout.flush()
     except OSError as exc:
-        raise ValidationError(f"out: cannot write {out!r} ({exc.strerror})") from None
+        raise ValidationError(f"stdout: cannot write ({exc.strerror})") from None
 
 
 def main(argv=None) -> int:
@@ -287,9 +306,29 @@ def main(argv=None) -> int:
 
 def run():
     """The ``gmacwt`` process: ``main()`` on ``sys.argv`` with OpenBLAS held to one
-    thread unless the caller set ``OPENBLAS_NUM_THREADS``; exits with its status."""
+    thread unless the caller set ``OPENBLAS_NUM_THREADS``, then the end of the
+    process with ``main()``'s status.
+
+    The end keeps what a caller can see of a normal exit: the ``atexit``
+    handlers run (the first step of the interpreter's own finalization), and
+    stdout and stderr are flushed.  ``os._exit`` then skips the module teardown
+    and final collection, 7-25 ms that write nothing.  Under a tracer or
+    profiler the end is ``sys.exit``, because those tools report after the
+    code returns."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
+    status = main()
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's and coverage's from 3.12
+    if (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6))))):
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:  # a stdout that refused main()'s write refuses again
+                pass
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 """The ``gmacwt`` process entry, ``cli.run()``: OpenBLAS held to one thread
 unless the caller set ``OPENBLAS_NUM_THREADS``, with the same output either
-way, while ``cli.main()`` leaves the environment alone."""
+way, while ``cli.main()`` leaves the environment alone; the process ends
+without the interpreter's teardown, with the same output, exit handlers and
+profiler report as one that tears down; and a stdout that cannot be written
+is a refusal."""
 
+import atexit
+import errno
 import json
 import os
 import subprocess
@@ -48,6 +53,9 @@ def test_run_holds_openblas_to_one_thread_unless_the_caller_chose(monkeypatch, g
     monkeypatch.setattr(os, "environ", environ)  # the process's own stays as it is
     calls = []
     monkeypatch.setattr(cli, "main", lambda: calls.append(os.environ.get(VAR)) or 3)
+    # run() ends the process: here its end raises, and pytest's exit handlers wait
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)
+    monkeypatch.setattr(os, "_exit", sys.exit)
     with pytest.raises(SystemExit) as exc:
         cli.run()
     assert exc.value.code == 3
@@ -135,3 +143,152 @@ def test_the_installed_script_is_the_process_entry():
         spec = tomllib.load(fh)["project"]["scripts"]["gmacwt"]
     module, _, name = spec.partition(":")
     assert getattr(import_module(module), name) is cli.run
+
+
+# -- the end of the process ------------------------------------------------------
+
+K16_DOC = {
+    "standard": True,
+    "users": [{"h": 0.25 + 0.125 * k, "power_max": 1 + k} for k in range(16)],
+}
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+
+def process_env(unbuffered):
+    env = child_env(None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+_TEARDOWN_PROBE = """
+import atexit, sys
+
+marker, calls = sys.argv.pop(1), sys.argv.pop(1)
+
+class Marker:
+    def __del__(self):
+        with open(marker, "w") as fh:
+            fh.write("torn down")
+
+held = Marker()
+
+@atexit.register
+def count_call():
+    with open(calls, "a") as fh:
+        fh.write("call\\n")
+
+import gmacwt.cli
+gmacwt.cli.run()
+"""
+
+
+def test_the_process_ends_without_teardown_and_runs_its_exit_handlers_once(tmp_path):
+    marker, calls = tmp_path / "marker", tmp_path / "calls"
+    proc = subprocess.run(
+        [sys.executable, "-c", _TEARDOWN_PROBE, str(marker), str(calls),
+         "standardize", write_doc(tmp_path)],
+        capture_output=True, text=True, env=child_env(None), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["users"][1]["h"] == 1.4
+    assert not marker.exists()  # no module was freed, so no __del__ ran
+    assert calls.read_text() == "call\n"
+
+
+def test_a_profiled_process_reports_after_the_command(tmp_path):
+    doc = write_doc(tmp_path)
+    expected = subprocess.run(
+        [sys.executable, "-m", "gmacwt.cli", "standardize", doc],
+        capture_output=True, text=True, env=child_env(None), timeout=120, check=True).stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "gmacwt.cli", "standardize", doc],
+        capture_output=True, text=True, env=child_env(None), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(expected)
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+_TORN_DOWN = "import sys, gmacwt.cli; sys.exit(gmacwt.cli.main(sys.argv[1:]))"
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv", [
+    ["standardize", "{doc}"],
+    ["feasible", "{doc}", "--power", "10,0"],
+    ["region", "{doc}"],
+    ["region", "{doc}", "--format", "csv"],
+    ["region", "{k16}"],
+    ["region", "{doc}", "--out", "{out}"],
+    ["maxsum", "{doc}", "--verify"],
+    ["jam", "{doc}", "--verify"],
+    ["sweep", "{doc}", "--kind", "region"],
+    ["sweep", "{doc}", "--kind", "jam"],
+    ["feasible", "{doc}", "--power", "10,x"],
+], ids=["standardize", "feasible", "region-json", "region-csv", "region-k16", "region-out",
+        "maxsum-verify", "jam-verify", "sweep-region", "sweep-jam", "refusal"])
+def test_the_process_writes_what_a_torn_down_process_writes(tmp_path, argv, unbuffered):
+    doc = write_doc(tmp_path)
+    k16 = tmp_path / "k16.json"
+    k16.write_text(json.dumps(K16_DOC))
+    results = []
+    for name, entry in (("run", ["-m", "gmacwt.cli"]), ("main", ["-c", _TORN_DOWN])):
+        out = tmp_path / f"{name}.out"
+        args = [a.format(doc=doc, k16=k16, out=out) for a in argv]
+        proc = subprocess.run([sys.executable, *entry, *args], capture_output=True,
+                              env=process_env(unbuffered), timeout=120)
+        written = out.read_bytes() if out.exists() else None
+        results.append((proc.returncode, proc.stdout, proc.stderr, written))
+    assert results[0] == results[1]
+    code, stdout, _, written = results[0]
+    refusal = argv[-1] == "10,x"
+    assert code == (1 if refusal else 0)
+    assert refusal or stdout or written
+
+
+# -- a stdout that cannot be written ---------------------------------------------
+
+def _refused(proc, code):
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: stdout: cannot write ({os.strerror(code)})\n"
+
+
+@BUFFERING
+def test_a_closed_pipe_is_refused(tmp_path, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmacwt.cli", "standardize", write_doc(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=process_env(unbuffered), timeout=120)
+    finally:
+        os.close(write_end)
+    _refused(proc, errno.EPIPE)
+
+
+@BUFFERING
+def test_a_full_device_is_refused(tmp_path, unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmacwt.cli", "standardize", write_doc(tmp_path)],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env=process_env(unbuffered), timeout=120)
+    _refused(proc, errno.ENOSPC)
+
+
+_WITHOUT_FD_1 = """
+import os, sys
+os.close(1)
+os.execv(sys.executable, [sys.executable, "-m", "gmacwt.cli", *sys.argv[1:]])
+"""
+
+
+@BUFFERING
+def test_a_closed_stdout_is_refused(tmp_path, unbuffered):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_FD_1, "standardize", write_doc(tmp_path)],
+        stderr=subprocess.PIPE, text=True, env=process_env(unbuffered), timeout=120)
+    _refused(proc, errno.EBADF)
