@@ -1,10 +1,11 @@
 """Secrecy rate regions, optimal power allocation, and cooperative jamming
 for the Gaussian multiple-access wiretap channel.
 
-The names below are the public API.  The per-subset rate quantities, the
-jamming thresholds and stationarity helpers, and the sum-rate pieces stay
-importable from their modules (``gmacwt.region``, ``gmacwt.jamming``,
-``gmacwt.sumrate``, ``gmacwt.channel``).
+The names below are the public API.  ``sum_secrecy_rate``
+(``gmacwt.sumrate``) and ``silence_threshold`` (``gmacwt.jamming``) stay
+importable from their modules.  The per-subset rate quantities, the jamming
+stationarity helpers and no-jam threshold, and the sum-rate pieces that the
+tests check against are test references in ``tests/helpers.py``.
 """
 
 #: The module that defines each public name.  A name's module is imported

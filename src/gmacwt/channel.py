@@ -191,21 +191,6 @@ def standardize(raw: ChannelParams, rate_unit: str = "bits") -> StandardChannel:
     return StandardChannel(h=h, p_max=p_max, rate_unit=rate_unit)
 
 
-def sort_by_gain(ch: StandardChannel) -> tuple[StandardChannel, tuple[int, ...]]:
-    """Reorder users by non-decreasing eavesdropper gain.
-
-    Returns the sorted channel and the permutation ``perm`` such that
-    sorted position ``i`` holds original user ``perm[i]`` (0-based).
-    Ties keep the original order.
-    """
-    perm = tuple(sorted(range(ch.num_users), key=lambda k: (ch.h[k], k)))
-    ordered = StandardChannel(
-        h=tuple(ch.h[k] for k in perm),
-        p_max=tuple(ch.p_max[k] for k in perm),
-        rate_unit=ch.rate_unit)
-    return ordered, perm
-
-
 # ---------------------------------------------------------------------------
 # JSON channel documents
 # ---------------------------------------------------------------------------

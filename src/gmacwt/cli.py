@@ -155,7 +155,9 @@ def _cmd_maxsum(args):
     doc = sol.to_json_dict()
     if args.verify:
         from .oracle import verify_sum_rate
-        if args.grid_steps is not None:  # refused in the flag's name, not GridSpec's
+        # Checked here so that a refusal names the flag's grid_steps, not
+        # verify_sum_rate's steps.
+        if args.grid_steps is not None:
             _check_grid("grid_steps", args.grid_steps, ch.num_users)
         doc["oracle"] = verify_sum_rate(ch, sol, args.grid_steps)
     return _json_doc(doc)

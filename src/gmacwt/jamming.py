@@ -127,40 +127,6 @@ def jam_objective(p1, p2, ch: TwoUserChannel, unit: str = "bits") -> float:
                          p1, p2, h1 * p1, h2 * p2, unit)
 
 
-def p1_stationarity(p2, ch: TwoUserChannel) -> float:
-    """Numerator ``-(1 + h2*p2) * ((1 - h1) + (h2 - h1)*p2)`` of the
-    objective's partial derivative in ``p1``.
-
-    Negative forces ``p1 = p1_max``, positive forces ``p1 = 0``, zero
-    leaves ``p1`` indifferent.  Always negative when ``h1 < 1 <= h2``.
-    """
-    p2 = _as_float("p2", p2)
-    return -(1.0 + ch.h2 * p2) * ((1.0 - ch.h1) + (ch.h2 - ch.h1) * p2)
-
-
-def jam_roots(p1, ch: TwoUserChannel) -> tuple[float, float, float]:
-    """Discriminant and roots of the jamming stationarity parabola in
-    ``p2`` at transmit power ``p1``; requires ``h2 > h1`` and ``h2 >= 1``.
-
-    Returns ``(disc, p_lo, p_hi)``: ``disc >= 0``, inf where its true value
-    exceeds the float range, and ``p_lo <= p_hi``, the candidate interior
-    jamming power.  ``p_lo`` is ``-2 b / a - p_hi`` for ``h1 < 1``, where it
-    is negative, else ``-c / (a p_hi)`` in integers (Vieta; see ``_p_hi``).
-    """
-    p1, h1, h2 = _as_float("p1", p1), ch.h1, ch.h2
-    if h2 <= h1:
-        raise ValidationError(
-            f"h2: stationarity roots need h2 > h1 (got h1={h1}, h2={h2})")
-    if h2 < 1.0:
-        raise ValidationError(
-            f"h2: stationarity roots need h2 >= 1 (got {h2})")
-    disc, p_hi = h1 * h2 * ((h2 - 1.0) + (h2 - h1) * p1) * (h2 - 1.0), _p_hi(p1, h1, h2)
-    if h1 < 1.0 or not 0.0 < p_hi < math.inf:  # -2 b / a <= 0; a p_hi < 0 is at most half
-        return disc, -2.0 * (1.0 - h1) / (h2 - h1) - p_hi, p_hi
-    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = map(float.as_integer_ratio, (h1, h2, p1, p_hi))
-    return disc, (d1*d2*d3 - n1*(n2*d3 + (n2-d2)*n3))*d2*d4 / (d3*n2*(n2*d1 - n1*d2)*n4), p_hi
-
-
 def _p_hi(p1, h1, h2):
     """The larger root of ``a p^2 + 2 b p - c`` with ``a = h2 (h2 - h1)``,
     ``b = h2 (1 - h1)`` and ``c = h1 (h2 + (h2 - 1) p1) - 1``, whose
@@ -187,32 +153,6 @@ def _p_hi(p1, h1, h2):
     den = d1 * d2 * d3
     b = n2 * (d1 - n1) * ds / (d1 * d2 * ns)
     return (n1 * (n2 * d3 + (n2 - d2) * n3) - den) * ds / (den * ns) / (b + t)
-
-
-def p2_stationarity(p1, p2, ch: TwoUserChannel) -> float:
-    """Numerator ``p1*h2*(h2-h1)*(p2-p_hi)*(p2-p_lo)`` of the objective's
-    partial derivative in ``p2`` (an upright parabola; the objective
-    increases strictly between the roots and decreases outside)."""
-    _, p_lo, p_hi = jam_roots(p1, ch)
-    p2 = _as_float("p2", p2)
-    return p1 * ch.h2 * (ch.h2 - ch.h1) * (p2 - p_hi) * (p2 - p_lo)
-
-
-def no_jam_power_threshold(ch: TwoUserChannel) -> float:
-    """Largest ``p1_max`` for which jamming cannot help in case A
-    (``p_hi <= 0``), i.e. ``(1 - h1*h2) / (h1 * (h2 - 1))``.
-
-    Zero when ``h1*h2 >= 1`` (the jammer always helps) and infinite when
-    ``h2 == 1`` or ``h1 == 0`` (it never does).
-    """
-    if not ch.h1 < 1.0 <= ch.h2:
-        raise ValidationError(
-            f"h: threshold applies to h1 < 1 <= h2 (got h1={ch.h1}, h2={ch.h2})")
-    if ch.h1 * ch.h2 >= 1.0:
-        return 0.0
-    if ch.h2 == 1.0 or ch.h1 == 0.0:
-        return math.inf
-    return (1.0 - ch.h1 * ch.h2) / (ch.h1 * (ch.h2 - 1.0))
 
 
 def silence_threshold(ch: TwoUserChannel) -> float:
@@ -257,7 +197,7 @@ def solve_jamming(ch: TwoUserChannel, unit: str = "bits") -> JammingSolution:
         return JammingSolution(0.0, 0.0, 0.0, BRANCH_ALL_SILENT, CASE_B, unit)
     else:
         case = CASE_B
-    # The regime checks above are jam_roots' preconditions: h2 > h1, h2 >= 1.
+    # The regime checks above are _p_hi's preconditions: h2 > h1, h2 >= 1.
     p_hi = _p_hi(ch.p1_max, ch.h1, ch.h2) if ch.p1_max > 0.0 else 0.0
     if p_hi <= 0.0:
         p2, branch = 0.0, BRANCH_NO_JAM

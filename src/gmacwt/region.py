@@ -76,17 +76,6 @@ def _step_points(step, p_max):
     return int(min(p_max / step, MAX_GRID_POINTS) + 1e-9) + 1
 
 
-def awgn_capacity(snr: float, unit: str = "bits") -> float:
-    """Capacity ``0.5 * log(1 + snr)`` of a unit-noise Gaussian channel.
-
-    Strictly increasing in ``snr`` with value 0 at 0.  ``unit`` selects
-    log base 2 ("bits") or natural log ("nats").
-    """
-    if not snr >= 0:  # also refuses NaN; inf has capacity inf
-        raise ValidationError(f"snr: must be >= 0 (got {snr})")
-    return _capacity(snr, unit)
-
-
 def _capacity(x: float, unit: str) -> float:
     """``C(x) = 0.5 * log1p(x)`` in ``unit``, for any ``x > -1``."""
     if unit == "bits":
@@ -156,8 +145,8 @@ def _subset_table(points, h):
     holds the sums of ``P_k``, of ``h_k P_k`` and of ``P_k (1 - h_k)`` over
     the subset with bitmask ``m``, and of ``h_k P_k`` over its complement.
     Pass ``j`` adds user ``j`` to every subset of the users above it, so
-    each sum adds its terms from the highest index down, as
-    ``_scalar_sums`` does.
+    each sum adds its terms from the highest index down, as the
+    per-subset reference in ``tests/helpers.py`` does.
     """
     import numpy as np
     points = np.asarray(points, dtype=float)
@@ -236,58 +225,6 @@ def _subset_indices(subset, num_users) -> tuple[int, ...]:
         raise ValidationError(
             f"subset: user indices must lie in [0, {num_users - 1}] (got {idx})")
     return tuple(idx)
-
-
-def _scalar_sums(subset, powers, ch: StandardChannel):
-    """Sums of ``P_k`` and ``h_k P_k`` over ``subset`` and over its
-    complement, ``[s_p, s_hp, c_p, c_hp]``, equal to the table's entries."""
-    p = _checked_powers(powers, ch)
-    idx = _subset_indices(subset, ch.num_users)
-    sums = [0.0] * 4
-    for k in reversed(range(ch.num_users)):
-        side = 0 if k in idx else 2
-        sums[side] += p[k]
-        sums[side + 1] += ch.h[k] * p[k]
-    return sums
-
-
-class SubsetRates(Record):
-    """Receiver- and eavesdropper-side capacities of one user subset.
-
-    ``main``/``tap`` assume the complement's signals have been removed;
-    ``main_intf``/``tap_intf`` treat them as additional noise.  For the
-    full user set the two pairs coincide.
-    """
-
-    __slots__ = ("main", "tap", "main_intf", "tap_intf")
-
-    def __init__(self, main, tap, main_intf, tap_intf):
-        setfield(self, "main", main)
-        setfield(self, "tap", tap)
-        setfield(self, "main_intf", main_intf)
-        setfield(self, "tap_intf", tap_intf)
-
-
-def subset_rates(subset, powers, ch: StandardChannel) -> SubsetRates:
-    """The four capacity quantities of ``subset`` at powers ``powers``."""
-    s_p, s_hp, c_p, c_hp = _scalar_sums(subset, powers, ch)
-    unit = ch.rate_unit
-    return SubsetRates(
-        main=awgn_capacity(s_p, unit),
-        tap=awgn_capacity(s_hp, unit),
-        main_intf=awgn_capacity(s_p / (1.0 + c_p), unit),
-        tap_intf=awgn_capacity(s_hp / (1.0 + c_hp), unit))
-
-
-def secrecy_slack(subset, powers, ch: StandardChannel) -> float:
-    """Feasibility margin of ``subset``:
-    ``sum(P_k, S) - sum(h_k P_k, S) / (1 + sum(h_k P_k, S^c))``.
-
-    Its sign equals the sign of ``main(S) - tap_intf(S)``, i.e. of the
-    subset's secrecy rate bound.
-    """
-    s_p, s_hp, _, c_hp = _scalar_sums(subset, powers, ch)
-    return s_p - s_hp / (1.0 + c_hp)
 
 
 class InfeasibilityWitness(Record):
@@ -445,22 +382,6 @@ def _vertices(bounds):
                for q in (kept[-1], kept[0])):
             kept.append(pt)
     return tuple(kept)
-
-
-def classify_two_user_shape(b1: float, b2: float, b12: float) -> str:
-    """Shape of ``{R >= 0, R1 <= b1, R2 <= b2, R1 + R2 <= b12}``.
-
-    "rectangle" when the sum bound is slack, "triangle" when only the sum
-    bound is active, "quadrilateral" when exactly one individual bound is
-    also active, "pentagon" when all three are.
-    """
-    if b12 >= b1 + b2:
-        return "rectangle"
-    if b12 <= min(b1, b2):
-        return "triangle"
-    if b12 <= max(b1, b2):
-        return "quadrilateral"
-    return "pentagon"
 
 
 def build_region(powers, ch: StandardChannel) -> RateRegion:

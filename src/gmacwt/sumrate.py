@@ -25,28 +25,6 @@ PRUNE_TOL = 1e-12
 TIE_TOL = 1e-12
 
 
-def snr_ratio(powers, ch: StandardChannel) -> float:
-    """Eavesdropper-to-receiver total-SNR ratio
-    ``(1 + sum h_k P_k) / (1 + sum P_k)``.
-
-    Minimizing it over the allowable power set maximizes the sum secrecy
-    rate; it equals 1 at zero power.
-    """
-    p = _checked_powers(powers, ch)
-    return (1.0 + sum(h * v for h, v in zip(ch.h, p))) / (1.0 + sum(p))
-
-
-def prune_bad_users(powers, ch: StandardChannel) -> tuple[float, ...]:
-    """Zero the power of every user with ``h_k >= 1`` (within PRUNE_TOL).
-
-    Never increases the SNR ratio, and leaves an allocation that is
-    feasible whenever the surviving users all have ``h_k < 1``.
-    """
-    p = _checked_powers(powers, ch)
-    return tuple(
-        0.0 if h >= 1.0 - PRUNE_TOL else v for h, v in zip(ch.h, p))
-
-
 def sum_secrecy_rate(powers, ch: StandardChannel) -> float:
     """``capacity(sum P_k) - capacity(sum h_k P_k)`` in the channel's rate
     unit; negative when the powers lie outside the allowable set."""

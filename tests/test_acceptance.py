@@ -27,17 +27,19 @@ from gmacwt import (
     verify_jamming,
     verify_sum_rate,
 )
-from gmacwt.jamming import jam_roots
-from gmacwt.region import awgn_capacity, classify_two_user_shape
-from gmacwt.sumrate import prune_bad_users, snr_ratio
 
 from helpers import (
+    awgn_capacity,
+    classify_two_user_shape,
+    jam_roots,
+    prune_bad_users,
     random_box_powers,
     random_case_a,
     random_case_b,
     random_channel,
     random_feasible_powers,
     rng,
+    snr_ratio,
 )
 
 

@@ -12,9 +12,8 @@ from gmacwt import (
     channel_to_json,
     standardize,
 )
-from gmacwt.channel import sort_by_gain
 
-from helpers import random_channel, rng
+from helpers import rng
 
 
 def test_standardize_two_user_exact():
@@ -151,32 +150,6 @@ def test_length_mismatch_rejected():
 def test_bad_rate_unit_rejected():
     with pytest.raises(ValidationError, match="rate_unit"):
         StandardChannel(h=(0.5,), p_max=(1.0,), rate_unit="decibels")
-
-
-@pytest.mark.parametrize("h,expected_h,expected_perm", [
-    ((0.2, 0.1), (0.1, 0.2), (1, 0)),
-    ((0.5, 0.5), (0.5, 0.5), (0, 1)),
-    ((1.4, 0.1, 1.0), (0.1, 1.0, 1.4), (1, 2, 0)),
-])
-def test_sort_by_gain(h, expected_h, expected_perm):
-    ch = StandardChannel(h=h, p_max=tuple(10.0 + k for k in range(len(h))))
-    ordered, perm = sort_by_gain(ch)
-    assert ordered.h == expected_h
-    assert perm == expected_perm
-    assert ordered.p_max == tuple(ch.p_max[k] for k in perm)
-
-
-def test_sort_then_inverse_permutation_restores_input():
-    gen = rng(13)
-    for _ in range(50):
-        k = int(gen.integers(1, 9))
-        ch = random_channel(gen, k)
-        ordered, perm = sort_by_gain(ch)
-        inv = [0] * k
-        for position, user in enumerate(perm):
-            inv[user] = position
-        assert tuple(ordered.h[inv[i]] for i in range(k)) == ch.h
-        assert tuple(ordered.p_max[inv[i]] for i in range(k)) == ch.p_max
 
 
 def test_channel_from_json_raw():

@@ -10,15 +10,17 @@ from gmacwt import (
     jam_objective,
     solve_jamming,
 )
-from gmacwt.jamming import (
+from gmacwt.jamming import silence_threshold
+
+from helpers import (
     jam_roots,
     no_jam_power_threshold,
     p1_stationarity,
     p2_stationarity,
-    silence_threshold,
+    random_case_a,
+    random_case_b,
+    rng,
 )
-
-from helpers import random_case_a, random_case_b, rng
 
 # High-precision reference values (50-digit evaluation of the closed forms).
 A_ROOT = 0.49021623019079503       # h=(0.4,1.4), p1=10
@@ -102,24 +104,11 @@ def test_jam_roots_tap_gain_exactly_one():
     assert lo == hi == -1.0  # double negative root: jamming never helps
 
 
-def test_jam_roots_validation():
-    with pytest.raises(ValidationError, match="h2"):
-        jam_roots(1.0, TwoUserChannel(h1=1.3, h2=1.3, p1_max=1, p2_max=1))
-    with pytest.raises(ValidationError, match="h2"):
-        jam_roots(1.0, TwoUserChannel(h1=0.1, h2=0.9, p1_max=1, p2_max=1))
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_powers_rejected(value):
-    with pytest.raises(ValidationError, match="p1: must be finite and >= 0"):
-        jam_roots(value, CASE_A_CH)
     for p1, p2, name in ((value, 1.0, "p1"), (1.0, value, "p2")):
         with pytest.raises(ValidationError, match=f"{name}: must be finite and >= 0"):
             jam_objective(p1, p2, CASE_A_CH)
-    for call in (lambda: p1_stationarity(value, CASE_A_CH),
-                 lambda: p2_stationarity(1.0, value, CASE_A_CH)):
-        with pytest.raises(ValidationError, match="p2: must be finite and >= 0"):
-            call()
 
 
 def test_p2_stationarity_matches_numeric_derivative():
@@ -242,8 +231,6 @@ def test_no_jam_threshold_special_cases():
         TwoUserChannel(h1=0.8, h2=1.5, p1_max=1, p2_max=1)) == 0.0   # h1*h2 >= 1
     assert no_jam_power_threshold(
         TwoUserChannel(h1=0.3, h2=1.0, p1_max=1, p2_max=1)) == math.inf
-    with pytest.raises(ValidationError, match="h"):
-        no_jam_power_threshold(CASE_B_CH)
 
 
 def test_jammer_always_helps_when_gain_product_exceeds_one():

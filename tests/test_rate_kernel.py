@@ -19,10 +19,18 @@ import pytest
 
 import gmacwt.cli as cli
 from gmacwt import StandardChannel, TwoUserChannel, build_region, jam_objective, max_sum_rate
-from gmacwt.region import awgn_capacity, subset_rates
 from gmacwt.sumrate import sum_secrecy_rate
 
-from helpers import cap, gain, mp_jam_objective, mp_subset_rate, rel_error, rng
+from helpers import (
+    awgn_capacity,
+    cap,
+    gain,
+    mp_jam_objective,
+    mp_subset_rate,
+    rel_error,
+    rng,
+    subset_rates,
+)
 
 #: Distances of the gains from 1: each draw is within 10^band..10^(band + 1).
 BANDS = [-12, -10, -8, -6, -4, -3]

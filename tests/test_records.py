@@ -1,14 +1,17 @@
-"""Value semantics of the nine record types: immutable fields, equality
-and hashing by value within one class, the field-by-field ``repr``, the
-constructors' keywords and defaults, and their validation; and the
-package's public names."""
+"""Value semantics of the nine record types (the library's eight and the
+tests' reference ``SubsetRates``): immutable fields, equality and hashing
+by value within one class, the field-by-field ``repr``, the constructors'
+keywords and defaults, and their validation; and the package's public
+names, outside of which the library defines no public function or class."""
 
 import copy
+import inspect
 import json
 import os
 import pickle
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,9 @@ from gmacwt import (
     TwoUserChannel,
     ValidationError,
 )
-from gmacwt.region import InfeasibilityWitness, SubsetRates
+from gmacwt.region import InfeasibilityWitness
+
+from helpers import SubsetRates
 
 #: (class, field values in order, the exact repr).
 RECORDS = [
@@ -183,6 +188,23 @@ def test_every_public_name_resolves():
     assert namespace["RateRegion"] is region.RateRegion
     with pytest.raises(AttributeError):
         gmacwt.no_such_name
+
+
+#: Public names outside ``__all__`` that the library keeps: a record that
+#: ``is_feasible`` returns, and two functions with a library caller, which
+#: the fuzz suite holds to the entry rule.
+KEPT = {"InfeasibilityWitness", "sum_secrecy_rate", "silence_threshold"}
+
+
+@pytest.mark.parametrize("module", ["channel", "region", "sumrate", "jamming", "oracle"])
+def test_the_library_defines_no_public_name_outside_the_api(module):
+    """A function or class that no command and no public name runs belongs
+    in ``tests/helpers.py``, not on the import path of every process."""
+    mod = import_module(f"gmacwt.{module}")
+    defined = {name for name, value in vars(mod).items()
+               if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == mod.__name__}
+    assert defined - {*gmacwt.__all__, *KEPT} == set()
 
 
 def test_star_import_in_a_fresh_interpreter():

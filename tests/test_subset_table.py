@@ -24,9 +24,9 @@ from gmacwt.region import (
     _subset_users,
     _sweep_table,
     _vertices,
-    secrecy_slack,
-    subset_rates,
 )
+
+from helpers import secrecy_slack, subset_rates
 
 GAINS = st.one_of(st.floats(0.0, 4.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9))
 POWERS = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))

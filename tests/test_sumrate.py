@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
-from gmacwt import StandardChannel, is_feasible, max_sum_rate
-from gmacwt.sumrate import prune_bad_users, snr_ratio, sum_secrecy_rate
+import gmacwt.cli as cli
+from gmacwt import InternalError, StandardChannel, is_feasible, max_sum_rate, sumrate
+from gmacwt.sumrate import sum_secrecy_rate
 
-from helpers import random_box_powers, random_channel, rng
+from helpers import prune_bad_users, random_box_powers, random_channel, rng, snr_ratio
 
 MAXSUM_L1 = 1.2297158093186486  # g(10) - g(1), bits
 MAXSUM_L2 = 1.2924812503605781  # g(20) - g(2.5), bits
@@ -79,6 +82,24 @@ def test_max_sum_rate_unsorted_input_maps_back():
 def test_max_sum_rate_gain_exactly_one_stays_silent():
     sol = max_sum_rate(StandardChannel(h=(0.3, 1.0), p_max=(5, 5)))
     assert sol.powers == (5.0, 0.0)
+
+
+def test_an_allocation_that_powers_a_gain_of_1_or_more_is_an_internal_error(
+        monkeypatch, tmp_path, capsys):
+    """The scan's consistency guard.  With both tolerances at -1 the scan
+    admits a user of gain 1.5, and the guard raises rather than return an
+    allocation outside the allowable set; the CLI answers with one
+    ``internal error:`` line, exit 2 and nothing on stdout."""
+    monkeypatch.setattr(sumrate, "PRUNE_TOL", -1.0)
+    monkeypatch.setattr(sumrate, "TIE_TOL", -1.0)
+    with pytest.raises(InternalError, match="^optimal allocation powers a user with h >= 1"):
+        max_sum_rate(StandardChannel(h=(1.5,), p_max=(1.0,)))
+    doc = tmp_path / "channel.json"
+    doc.write_text(json.dumps({"standard": True, "users": [{"h": 1.5, "power_max": 1.0}]}))
+    assert cli.main(["maxsum", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: optimal allocation")
 
 
 def test_max_sum_rate_json_document():

@@ -25,8 +25,10 @@ from hypothesis import given, settings, strategies as st
 
 from gmacwt import StandardChannel, is_feasible, max_sum_rate, region
 from gmacwt.jamming import BRANCH_NO_JAM, CASE_DEGENERATE, TwoUserChannel, solve_jamming
-from gmacwt.region import FEASIBILITY_TOL, awgn_capacity
+from gmacwt.region import FEASIBILITY_TOL
 from gmacwt.sumrate import PRUNE_TOL, TIE_TOL
+
+from helpers import awgn_capacity
 
 GAINS = st.one_of(st.just(0.0), st.just(1.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9),
                   st.floats(0.0, 1.0), st.floats(0.0, 4.0))
