@@ -16,6 +16,9 @@ noise_var_receiver``.  Both per-user SNRs are preserved, so every rate
 quantity computed downstream is unchanged.  ``h_k < 1`` means user ``k``'s
 channel to the intended receiver is relatively better than its channel to
 the eavesdropper.
+
+Every input rule is here, and so is the rate kernel that every rate shares:
+``_secrecy_rate``, on ``_capacity`` (``_capacities`` for arrays).
 """
 
 from __future__ import annotations
@@ -94,6 +97,87 @@ def _check_totals(p, h, name, h_name):
     for label, total in ((name, sum(p)), (h_name, sum(map(operator.mul, h, p)))):
         if not math.isfinite(total):
             raise ValidationError(f"{label}: the users' total overflows (got {total})")
+
+
+def _checked_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
+    """``powers`` as one finite float >= 0 per user of ``ch``, with finite totals."""
+    p = _as_float_tuple("powers", powers, ">=", ch.num_users)
+    _check_totals(p, ch.h, "powers", "powers*h")
+    return p
+
+
+#: Hard cap on the number of grid points an oracle or a jamming sweep may
+#: evaluate.
+MAX_GRID_POINTS = 10_000_000
+
+
+def _check_grid(name, steps, axes, cap=MAX_GRID_POINTS):
+    """``steps`` as an int, the points on each of ``axes`` axes of a grid;
+    refused if not an integer, below 2, or if the grid holds more than
+    ``cap`` points.  The message names the caller's argument ``name``."""
+    steps = _as_int(name, steps)
+    if steps < 2:
+        raise ValidationError(f"{name}: must be >= 2 (got {steps})")
+    if steps ** axes > cap:
+        raise ValidationError(
+            f"{name}: grid would have {steps ** axes} points (cap {cap})")
+    return steps
+
+
+def _step_points(step, p_max):
+    """Points of ``{0, step, 2 step, ...}`` on ``[0, p_max]``, the last allowed 1e-9
+    steps past it for rounding; ``MAX_GRID_POINTS + 1`` for any count past the cap.
+    The ratio is clamped to the cap first, so an infinite one never reaches ``int()``."""
+    return int(min(p_max / step, MAX_GRID_POINTS) + 1e-9) + 1
+
+
+def _p2_points(step, p2_max):
+    """``_step_points`` for ``--p2-step``, as the jamming sweep and an
+    explicit oracle grid take it; refused past the cap."""
+    step = _as_float("p2-step", step, ">")
+    count = _step_points(step, p2_max)
+    if count > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"p2-step: {step} would put more than {MAX_GRID_POINTS} grid "
+            f"points on [0, {p2_max}]")
+    return count
+
+
+def _capacity(x: float, unit: str) -> float:
+    """``C(x) = 0.5 * log1p(x)`` in ``unit``, for any ``x > -1``."""
+    if unit == "bits":
+        return 0.5 * math.log1p(x) / math.log(2)
+    if unit == "nats":
+        return 0.5 * math.log1p(x)
+    _check_rate_unit(unit)  # raises: the unit is neither
+
+
+def _capacities(x, unit):
+    """``_capacity`` of every entry of an array."""
+    import numpy as np
+    nats = 0.5 * np.log1p(x)
+    return nats / math.log(2) if unit == "bits" else nats
+
+
+def _secrecy_rate(n: float, a: float, c_m: float, b: float, c_t: float,
+                  unit: str) -> float:
+    """``C(a / (1 + c_m)) - C(b / (1 + c_t))`` as one log, ``C(n / D)``.
+
+    Every closed-form secrecy rate is such a difference, and it equals
+    ``C(N / D)`` with ``N = a (1 + c_t) - b (1 + c_m)`` and ``D = (1 +
+    c_m)(1 + b + c_t)``.  The caller supplies ``n``, formed from terms such
+    as ``P_k (1 - h_k)``, in which a gain near 1 loses nothing (``1 - h_k``
+    is exact for ``h_k`` in [1/2, 2]), where the difference of two nearly
+    equal capacities cancels.  Where ``n / D < -1/2``, at which ``1 + n /
+    D`` cancels instead (or rounds to 0), or where ``n`` or ``D``
+    overflowed, the difference is returned, well-conditioned there and
+    finite, as ``_check_totals`` held.  ``region._bounds`` is its array twin.
+    """
+    d = (1.0 + c_m) * (1.0 + b + c_t)
+    x = n / d + 0.0  # + 0.0: a zero numerator of either sign is the rate +0.0
+    if -0.5 <= x < math.inf and d < math.inf:
+        return _capacity(x, unit)
+    return _capacity(a / (1.0 + c_m), unit) - _capacity(b / (1.0 + c_t), unit)
 
 
 class ChannelParams(Record):

@@ -48,22 +48,10 @@ import math
 import os
 import sys
 
-from .channel import StandardChannel, _as_float, channel_to_json, load_channel
+from .channel import (StandardChannel, _as_float, _check_grid, _p2_points, channel_to_json,
+                      load_channel)
 from .errors import InternalError, ValidationError
-from .region import (MAX_GRID_POINTS, _check_grid, _step_points, _sweep_table, build_region,
-                     is_feasible)
-
-
-def _p2_points(step, p2_max):
-    """``region._step_points`` for ``--p2-step``, as the jamming sweep and an
-    explicit oracle grid take it; refused past the cap."""
-    step = _as_float("p2-step", step, ">")
-    count = _step_points(step, p2_max)
-    if count > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"p2-step: {step} would put more than {MAX_GRID_POINTS} grid "
-            f"points on [0, {p2_max}]")
-    return count
+from .region import _sweep_table, build_region, is_feasible
 
 
 def _fmt(value) -> str:

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 
-from .channel import StandardChannel, _as_float, _check_rate_unit, _check_totals
+from .channel import StandardChannel, _as_float, _check_rate_unit, _check_totals, _secrecy_rate
 from .errors import ValidationError
 from .record import Record, setfield
-from .region import _secrecy_rate
 
 BRANCH_NO_JAM = "NoJam"
 BRANCH_INTERIOR_ROOT = "InteriorRoot"

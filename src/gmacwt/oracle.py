@@ -16,11 +16,11 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .channel import StandardChannel, _check_rate_unit
+from .channel import (MAX_GRID_POINTS, StandardChannel, _capacities, _check_grid,
+                      _check_rate_unit, _step_points)
 from .errors import InternalError
 from .record import Record, setfield
-from .region import (MAX_GRID_POINTS, _axis_blocks, _capacities, _check_grid, _grid_axis,
-                     _infeasible, _step_points)
+from .region import _axis_blocks, _grid_axis, _infeasible
 
 if TYPE_CHECKING:
     from .jamming import JammingSolution, TwoUserChannel

@@ -1,4 +1,4 @@
-"""Rate quantities, the allowable power set, and fixed-power rate regions.
+"""The allowable power set and fixed-power rate regions.
 
 For a set ``S`` of users transmitting at powers ``P`` over a standard-form
 channel, four Gaussian-codebook rate quantities matter: the receiver-side
@@ -13,23 +13,21 @@ every subset, which is exactly the condition ``main(S) >= tap_intf(S)``.
 Membership in the allowable set is decided on the K prefixes of the users
 sorted by gain (``_violated_prefixes``), for one point or a broadcast grid.
 Region bounds are read from one table of every subset's power sums, built
-for a block of power points at once (``_subset_table``), each as one log
-of the rate kernel (``_secrecy_rate``, which the sum rate and the jamming
-objective take too).  numpy is
-imported inside the functions that build arrays, not at module level, so
-the closed forms (``sumrate``, ``jamming``) and the CLI start without it.
+for a block of power points at once (``_subset_table``).  numpy is
+imported inside the functions that build arrays, so the CLI starts
+without it.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import sys
 from collections import deque
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
-from .channel import StandardChannel, _as_float_tuple, _as_int, _check_rate_unit, _check_totals
+from .channel import (StandardChannel, _as_float_tuple, _as_int, _capacities, _check_grid,
+                      _checked_powers)
 from .errors import ValidationError
 from .record import Record, setfield
 
@@ -43,10 +41,6 @@ FEASIBILITY_TOL = 1e-12
 #: Slack allowed on a rate: in region membership, and by the vertices.
 CONTAINS_TOL = 1e-12
 
-#: Hard cap on the number of grid points an oracle or a jamming sweep may
-#: evaluate.
-MAX_GRID_POINTS = 10_000_000
-
 #: Cap on the grid points of ``union_sweep``, which keeps a ``RateRegion``
 #: per feasible point: about 0.46 KB each at peak, measured as 191 MB of
 #: peak RSS (27 MB of it the interpreter with numpy) for the 360,000 rows
@@ -56,69 +50,12 @@ MAX_GRID_POINTS = 10_000_000
 MAX_SWEEP_POINTS = 1_000_000
 
 
-def _check_grid(name, steps, axes, cap=MAX_GRID_POINTS):
-    """``steps`` as an int, the points on each of ``axes`` axes of a grid;
-    refused if not an integer, below 2, or if the grid holds more than
-    ``cap`` points.  The message names the caller's argument ``name``."""
-    steps = _as_int(name, steps)
-    if steps < 2:
-        raise ValidationError(f"{name}: must be >= 2 (got {steps})")
-    if steps ** axes > cap:
-        raise ValidationError(
-            f"{name}: grid would have {steps ** axes} points (cap {cap})")
-    return steps
-
-
-def _step_points(step, p_max):
-    """Points of ``{0, step, 2 step, ...}`` on ``[0, p_max]``, the last allowed 1e-9
-    steps past it for rounding; ``MAX_GRID_POINTS + 1`` for any count past the cap.
-    The ratio is clamped to the cap first, so an infinite one never reaches ``int()``."""
-    return int(min(p_max / step, MAX_GRID_POINTS) + 1e-9) + 1
-
-
-def _capacity(x: float, unit: str) -> float:
-    """``C(x) = 0.5 * log1p(x)`` in ``unit``, for any ``x > -1``."""
-    if unit == "bits":
-        return 0.5 * math.log1p(x) / math.log(2)
-    if unit == "nats":
-        return 0.5 * math.log1p(x)
-    _check_rate_unit(unit)  # raises: the unit is neither
-
-
-def _capacities(x: np.ndarray, unit: str) -> np.ndarray:
-    """``_capacity`` of every entry of an array."""
-    import numpy as np
-    nats = 0.5 * np.log1p(x)
-    return nats / math.log(2) if unit == "bits" else nats
-
-
-def _secrecy_rate(n: float, a: float, c_m: float, b: float, c_t: float,
-                  unit: str) -> float:
-    """``C(a / (1 + c_m)) - C(b / (1 + c_t))`` as one log, ``C(n / D)``.
-
-    Every closed-form secrecy rate is such a difference, and it equals
-    ``C(N / D)`` with ``N = a (1 + c_t) - b (1 + c_m)`` and ``D = (1 +
-    c_m)(1 + b + c_t)``.  The caller supplies ``n``, formed from terms such
-    as ``P_k (1 - h_k)``, in which a gain near 1 loses nothing (``1 - h_k``
-    is exact for ``h_k`` in [1/2, 2]), where the difference of two nearly
-    equal capacities cancels.  Where ``n / D < -1/2``, at which ``1 + n /
-    D`` cancels instead (or rounds to 0), or where ``n`` or ``D``
-    overflowed, the difference is returned, well-conditioned there and
-    finite, as ``_check_totals`` held.  ``_bounds`` is the same rule for arrays.
-    """
-    d = (1.0 + c_m) * (1.0 + b + c_t)
-    x = n / d + 0.0  # + 0.0: a zero numerator of either sign is the rate +0.0
-    if -0.5 <= x < math.inf and d < math.inf:
-        return _capacity(x, unit)
-    return _capacity(a / (1.0 + c_m), unit) - _capacity(b / (1.0 + c_t), unit)
-
-
 def _bounds(table, unit):
     """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of every
     nonempty subset at each point of a subset table: one point per row,
     in bitmask order.
 
-    Each is ``_secrecy_rate``'s one log ``C(N / D)``, with ``N =
+    Each is ``channel._secrecy_rate``'s one log ``C(N / D)``, with ``N =
     sum(P_k (1 - h_k), S) + P_S hP_{S^c}`` and ``D = 1 + T``, where ``T =
     sum(h_k P_k)`` is the full set's sum, one value per point; the
     difference where ``N / D < -1/2`` or ``N`` or ``D`` overflowed.
@@ -205,13 +142,6 @@ def _subset_users(k: int) -> list[tuple[int, ...]]:
 def _finite_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
     """``powers`` as one finite float per user of ``ch``, of any sign."""
     return _as_float_tuple("powers", powers, None, ch.num_users)
-
-
-def _checked_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
-    """``powers`` as one finite float >= 0 per user of ``ch``, with finite totals."""
-    p = _as_float_tuple("powers", powers, ">=", ch.num_users)
-    _check_totals(p, ch.h, "powers", "powers*h")
-    return p
 
 
 def _subset_indices(subset, num_users) -> tuple[int, ...]:

@@ -11,10 +11,9 @@ the resulting ratio.  Users with ``h_k >= 1`` never transmit.
 
 from __future__ import annotations
 
-from .channel import StandardChannel
+from .channel import StandardChannel, _checked_powers, _secrecy_rate
 from .errors import InternalError
 from .record import Record, setfield
-from .region import _checked_powers, _secrecy_rate
 
 #: Gains within this of 1 count as >= 1 and are forced silent.
 PRUNE_TOL = 1e-12

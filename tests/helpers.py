@@ -8,9 +8,9 @@ import mpmath
 import numpy as np
 
 from gmacwt import StandardChannel, TwoUserChannel, is_feasible
+from gmacwt.channel import _capacity
 from gmacwt.jamming import _p_hi
 from gmacwt.record import Record, setfield
-from gmacwt.region import _capacity
 from gmacwt.sumrate import PRUNE_TOL
 
 

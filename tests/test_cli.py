@@ -10,7 +10,7 @@ import pytest
 
 import gmacwt.cli as cli
 from gmacwt import (RateRegion, StandardChannel, TwoUserChannel, ValidationError, build_region,
-                    channel_from_json, oracle, region)
+                    channel, channel_from_json, oracle, region)
 
 from helpers import tampered
 
@@ -506,21 +506,21 @@ def test_oversized_grid_exits_1(tmp_path, capsys, users, argv):
     if "region" in argv:
         assert f"(cap {region.MAX_SWEEP_POINTS})" in err
     else:
-        assert f"more than {region.MAX_GRID_POINTS} grid points" in err
+        assert f"more than {channel.MAX_GRID_POINTS} grid points" in err
 
 
 def test_a_step_count_is_refused_exactly_past_the_cap():
     """``p2_max / step`` of 9999999.5 puts exactly 10^7 points on the axis,
     which the cap admits; 10^7 and an infinite ratio put more."""
-    cap = region.MAX_GRID_POINTS
+    cap = channel.MAX_GRID_POINTS
     two, _ = TwoUserChannel.from_standard(StandardChannel((0.4, 1.4), (10, 9999999.5)))
     assert two.p2_max == 9999999.5
-    assert region._step_points(1.0, two.p2_max) == cap
-    assert cli._p2_points(1.0, two.p2_max) == cap
+    assert channel._step_points(1.0, two.p2_max) == cap
+    assert channel._p2_points(1.0, two.p2_max) == cap
     for step, p2_max in ((1.0, 1e7), (5e-324, 1e300)):
-        assert region._step_points(step, p2_max) == cap + 1
+        assert channel._step_points(step, p2_max) == cap + 1
         with pytest.raises(ValidationError, match=f"more than {cap} grid points"):
-            cli._p2_points(step, p2_max)
+            channel._p2_points(step, p2_max)
 
 
 def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsys):
@@ -532,7 +532,7 @@ def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsy
     assert code == 1
     assert out == ""
     assert err.startswith("error: p2-step: 0.001 ") and len(err.splitlines()) == 1
-    assert f"more than {region.MAX_GRID_POINTS} grid points" in err
+    assert f"more than {channel.MAX_GRID_POINTS} grid points" in err
 
 
 @pytest.mark.parametrize("h,p_max", [
@@ -716,9 +716,11 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     standardize, feasible, maxsum, jam, the jamming sweep or a rejected
     document.  Neither does ``dataclasses`` (nor ``inspect``, which it
     pulls in), and each command loads only the modules it runs, except
-    that ``gmacwt.region`` loads with the CLI: ``maxsum --verify`` loads
-    no ``gmacwt.jamming``, and ``jam`` outside its degenerate case no
-    ``gmacwt.sumrate``."""
+    that ``gmacwt.region`` loads with the CLI, at module level, because
+    ``perfbench/spans.py``'s ``install``, called right after ``import
+    gmacwt.cli``, reads ``sys.modules["gmacwt.region"]``: ``maxsum
+    --verify`` loads no ``gmacwt.jamming``, and ``jam`` outside its
+    degenerate case no ``gmacwt.sumrate``."""
     paths = [write(tmp_path, CASE_A_DOC, "a.json"), write(tmp_path, GOOD_DOC, "g.json"),
              write(tmp_path, {"standard": True, "users": []}, "bad.json"),
              write(tmp_path, BAD_DOC, "infeasible.json")]
@@ -743,3 +745,30 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
             [sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
         assert json.loads(proc.stdout) == [0, sorted(base + modules)]
+
+
+_CLOSED_FORMS_PROBE = """
+import json, sys
+import gmacwt.sumrate, gmacwt.jamming
+from gmacwt.channel import StandardChannel
+from gmacwt.jamming import TwoUserChannel, solve_jamming
+from gmacwt.sumrate import max_sum_rate
+rates = [max_sum_rate(StandardChannel((0.1, 0.2), (10, 10))).sum_rate,
+         solve_jamming(TwoUserChannel(0.4, 1.4, 10, 10)).case_tag]
+print(json.dumps([rates, sorted(m for m in sys.modules if m == "numpy" or m.startswith("gmacwt"))]))
+"""
+
+
+def test_the_closed_forms_load_neither_region_nor_numpy():
+    """The sum-rate optimum and the jamming optimum are each a difference of
+    two capacities: they take the rate kernel and the input rules from
+    ``gmacwt.channel`` and load neither the subset table's ``gmacwt.region``
+    nor numpy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLOSED_FORMS_PROBE], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    (sum_rate, case), modules = json.loads(proc.stdout)
+    assert sum_rate > 0 and case == "A"
+    assert modules == ["gmacwt", "gmacwt.channel", "gmacwt.errors", "gmacwt.jamming",
+                       "gmacwt.record", "gmacwt.sumrate"]

@@ -21,8 +21,9 @@ from gmacwt import (
     verify_jamming,
     verify_sum_rate,
 )
+from gmacwt.channel import MAX_GRID_POINTS, _capacities
 from gmacwt.oracle import _BLOCK_ENTRIES, _axis_blocks
-from gmacwt.region import FEASIBILITY_TOL, MAX_GRID_POINTS, _capacities, _grid_axis
+from gmacwt.region import FEASIBILITY_TOL, _grid_axis
 
 from helpers import random_case_a, random_case_b, random_channel, rng, tampered
 

@@ -9,7 +9,7 @@ forms, which sorted through a rebuilt ``StandardChannel``, checked the
 powers again before taking the sum rate, and sorted by a Python key per
 user; the sum rate itself is the one rate kernel's formula, ``C(N / D)``
 with ``N = sum P_k (1 - h_k)`` and ``D = 1 + sum h_k P_k``, as
-``region._secrecy_rate`` takes it.  Every float is compared by
+``channel._secrecy_rate`` takes it.  Every float is compared by
 ``float.hex``, so a sum formed in another order shows.  A verdict shows it only at a slack of about 0, so the draws make
 some: users at gain 1 and full power, whose prefix slack is a sum minus
 the same sum, and a user whose gain is 1 plus the other users' sum, at a
