@@ -271,7 +271,8 @@ class RateRegion(Record):
         over all of the new objects (12-18 ms at K = 16, now and then an
         older generation's pass of 50-70 ms instead).  Allocating the dict
         inside the pause too would only move that pass to the caller's
-        next allocation.
+        next allocation.  The switch is process-wide: a thread that flips
+        it during this call can see its setting undone.
         """
         enabled = gc.isenabled()
         gc.disable()

@@ -6,7 +6,8 @@ seen by the eavesdropper relative to the receiver.  The optimum has a
 threshold structure: with users ordered by non-decreasing ``h``, the first
 ``l`` users transmit at full power and the rest stay silent, where ``l``
 is the largest count for which every transmitting user's gain stays below
-the resulting ratio.  Users with ``h_k >= 1`` never transmit.
+the resulting ratio, within ``TIE_TOL``.  That one rule also keeps every
+user with ``h_k >= 1`` silent (see ``max_sum_rate``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from __future__ import annotations
 from .channel import StandardChannel, _checked_powers, _secrecy_rate
 from .errors import InternalError
 from .record import Record, setfield
-
-#: Gains within this of 1 count as >= 1 and are forced silent.
-PRUNE_TOL = 1e-12
 
 #: A gain matching the threshold ratio within this relative tolerance is a
 #: tie; the tied user stays silent (the sum rate does not depend on its
@@ -86,37 +84,37 @@ def max_sum_rate(ch: StandardChannel) -> SumRateSolution:
     """Sum-rate-optimal allocation via the limiting-user threshold scan.
 
     Users are sorted by gain (ties keep the original order) and admitted
-    at full power one by one while the next gain stays below the current
-    SNR ratio; each admission lowers the ratio.  A user whose gain equals
-    the ratio (within TIE_TOL, relative) or is >= 1 stays silent.  The
-    returned allocation is in the original user order and is feasible by
-    construction.  ``ch`` was checked when it was built and the powers
-    are its caps, so nothing is checked again.
+    at full power one by one, each lowering the SNR ratio ``num / den``,
+    until no users are left or the next gain is ``>= (num / den) * (1 -
+    TIE_TOL)``; that user and all later ones stay silent.  This one rule
+    silences every gain ``>= 1 - 1e-12``: each admitted gain is below a
+    ratio of at most 1, so each ``h * p`` rounds to at most ``p``, ``num <=
+    den``, ``fl(num / den) <= 1`` and ``fl((num / den) * (1 - TIE_TOL)) <=
+    1.0 - 1e-12``.  (``num`` stays finite, as ``sum p_max`` is and every
+    admitted gain is below ``1 - 1e-12``, so the ratio is never ``inf /
+    inf``.)  The allocation is in the original user order and feasible by
+    construction; ``ch`` was checked when it was built, so nothing is
+    checked again.
     """
-    perm = sorted(range(ch.num_users), key=ch.h.__getitem__)  # stable: ties by index
-    h, p_max = [ch.h[k] for k in perm], [ch.p_max[k] for k in perm]
-
-    num = 1.0
-    den = 1.0
-    limit = 0
-    for j in range(len(h)):
-        if h[j] >= 1.0 - PRUNE_TOL:
-            break
-        if h[j] >= (num / den) * (1.0 - TIE_TOL):
-            break
-        num += h[j] * p_max[j]
-        den += p_max[j]
-        limit = j + 1
-
     powers = [0.0] * ch.num_users
-    for j in range(limit):
-        powers[perm[j]] = p_max[j]
+    num = den = 1.0
+    limit = 0
+    top = 0.0  # the last admitted gain, the largest
+    for k in sorted(range(ch.num_users), key=ch.h.__getitem__):  # stable: ties by index
+        h = ch.h[k]
+        if h >= (num / den) * (1.0 - TIE_TOL):
+            break
+        p = ch.p_max[k]
+        num += h * p
+        den += p
+        powers[k] = p
+        limit += 1
+        top = h
     powers = tuple(powers)
 
     # Powered users all have h < 1, so every subset S has slack(S) >=
     # sum(P_k (1 - h_k), S) >= 0: feasible without a 2^K enumeration.
-    # The gains are sorted, so the last powered one is the largest.
-    if limit and not h[limit - 1] < 1.0:
+    if not top < 1.0:
         raise InternalError("optimal allocation powers a user with h >= 1, "
                             "which the scan excludes by construction")
 

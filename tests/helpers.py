@@ -11,7 +11,6 @@ from gmacwt import StandardChannel, TwoUserChannel, is_feasible
 from gmacwt.channel import _capacity
 from gmacwt.jamming import _p_hi
 from gmacwt.record import Record, setfield
-from gmacwt.sumrate import PRUNE_TOL
 
 
 def rng(seed):
@@ -152,12 +151,12 @@ def snr_ratio(powers, ch):
 
 
 def prune_bad_users(powers, ch):
-    """Zero the power of every user with ``h_k >= 1`` (within PRUNE_TOL).
+    """Zero the power of every user with ``h_k >= 1`` (within 1e-12).
 
     Never increases the SNR ratio, and leaves an allocation that is
     feasible whenever the surviving users all have ``h_k < 1``.
     """
-    return tuple(0.0 if h >= 1.0 - PRUNE_TOL else v for h, v in zip(ch.h, powers))
+    return tuple(0.0 if h >= 1.0 - 1e-12 else v for h, v in zip(ch.h, powers))
 
 
 def p1_stationarity(p2, ch):

@@ -191,8 +191,10 @@ def test_every_public_name_resolves():
 
 
 #: Public names outside ``__all__`` that the library keeps: a record that
-#: ``is_feasible`` returns, and two functions with a library caller, which
-#: the fuzz suite holds to the entry rule.
+#: ``is_feasible`` returns, ``silence_threshold``, which ``solve_jamming``
+#: calls, and ``sum_secrecy_rate``, which nothing in the library calls: it
+#: is the checked public entry to the objective the sum-rate scan
+#: maximizes, and the fuzz suite holds it to the entry rule.
 KEPT = {"InfeasibilityWitness", "sum_secrecy_rate", "silence_threshold"}
 
 

@@ -86,11 +86,10 @@ def test_max_sum_rate_gain_exactly_one_stays_silent():
 
 def test_an_allocation_that_powers_a_gain_of_1_or_more_is_an_internal_error(
         monkeypatch, tmp_path, capsys):
-    """The scan's consistency guard.  With both tolerances at -1 the scan
+    """The scan's consistency guard.  With ``TIE_TOL`` at -1 the scan
     admits a user of gain 1.5, and the guard raises rather than return an
     allocation outside the allowable set; the CLI answers with one
     ``internal error:`` line, exit 2 and nothing on stdout."""
-    monkeypatch.setattr(sumrate, "PRUNE_TOL", -1.0)
     monkeypatch.setattr(sumrate, "TIE_TOL", -1.0)
     with pytest.raises(InternalError, match="^optimal allocation powers a user with h >= 1"):
         max_sum_rate(StandardChannel(h=(1.5,), p_max=(1.0,)))

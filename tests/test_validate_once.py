@@ -6,8 +6,9 @@ Two kinds of test keep it so.  The guard tests count the checks that
 ``max_sum_rate``, ``is_feasible`` and the degenerate jamming branch run.
 The property tests compare them with test-local copies of their earlier
 forms, which sorted through a rebuilt ``StandardChannel``, checked the
-powers again before taking the sum rate, and sorted by a Python key per
-user; the sum rate itself is the one rate kernel's formula, ``C(N / D)``
+powers again before taking the sum rate, sorted by a Python key per
+user, and stopped the sum-rate scan on a second rule, a gain ``>= 1 -
+PRUNE_TOL``; the sum rate itself is the one rate kernel's formula, ``C(N / D)``
 with ``N = sum P_k (1 - h_k)`` and ``D = 1 + sum h_k P_k``, as
 ``channel._secrecy_rate`` takes it.  Every float is compared by
 ``float.hex``, so a sum formed in another order shows.  A verdict shows it only at a slack of about 0, so the draws make
@@ -21,17 +22,21 @@ order flips the verdict.
 import math
 from itertools import accumulate
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gmacwt import StandardChannel, is_feasible, max_sum_rate, region
 from gmacwt.jamming import BRANCH_NO_JAM, CASE_DEGENERATE, TwoUserChannel, solve_jamming
 from gmacwt.region import FEASIBILITY_TOL
-from gmacwt.sumrate import PRUNE_TOL, TIE_TOL
+from gmacwt.sumrate import TIE_TOL
 
 from helpers import awgn_capacity
 
-GAINS = st.one_of(st.just(0.0), st.just(1.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9),
-                  st.floats(0.0, 1.0), st.floats(0.0, 4.0))
+#: The earlier scan's second stopping rule: a gain ``>= 1 - PRUNE_TOL`` is
+#: silent.  The tie rule implies it, which the bit identity tests check.
+PRUNE_TOL = 1e-12
+
+GAINS = st.one_of(st.just(0.0), st.just(1.0), st.just(1.0 - PRUNE_TOL),
+                  st.floats(1.0 - 1e-9, 1.0 + 1e-9), st.floats(0.0, 1.0), st.floats(0.0, 4.0))
 
 
 def _full_mantissa(low, high):
@@ -165,6 +170,38 @@ def test_max_sum_rate_is_bit_identical_when_many_users_transmit(users, unit):
     sum rounds differently in another order."""
     h, p = zip(*users)
     _check_max_sum_rate(StandardChannel(h=h, p_max=p, rate_unit=unit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0 - PRUNE_TOL, exclude_max=True), max_size=8),
+       st.one_of(st.just(1.0 - PRUNE_TOL), st.floats(1.0 - PRUNE_TOL, 1.0, exclude_max=True)),
+       CAPS, UNITS)
+def test_max_sum_rate_silences_a_gain_near_1_at_a_ratio_of_exactly_1(gains, top, cap, unit):
+    """Users at zero cap are admitted and keep the ratio at exactly 1.0, so
+    the tie threshold is ``1.0 * (1 - TIE_TOL)``, the earlier prune
+    threshold itself: a gain at it or above it stays silent."""
+    ch = StandardChannel(h=(*gains, top), p_max=(0.0,) * len(gains) + (cap,), rate_unit=unit)
+    _check_max_sum_rate(ch)
+    sol = max_sum_rate(ch)
+    assert (sol.limiting_user, sol.snr_ratio, sol.powers[-1]) == (len(gains), 1.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), _full_mantissa(-4, 20)),
+                min_size=1, max_size=8),
+       CAPS, UNITS)
+def test_max_sum_rate_admits_a_gain_one_ulp_below_the_tie_threshold(users, cap, unit):
+    """After some admissions, a gain one ulp below ``ratio * (1 - TIE_TOL)``
+    is admitted and a gain at it stays silent, under both forms."""
+    h, p = zip(*users)
+    sol = max_sum_rate(StandardChannel(h=h, p_max=p, rate_unit=unit))
+    edge = sol.snr_ratio * (1.0 - TIE_TOL)
+    below = math.nextafter(edge, 0.0)
+    assume(all(g < below for g, v in zip(h, sol.powers) if v > 0.0))
+    for gain, admitted in ((below, 1), (edge, 0)):
+        ch = StandardChannel(h=(*h, gain), p_max=(*p, cap), rate_unit=unit)
+        _check_max_sum_rate(ch)
+        assert max_sum_rate(ch).limiting_user == sol.limiting_user + admitted
 
 
 @settings(max_examples=600, deadline=None)
