@@ -12,9 +12,9 @@ tests check against are test references in ``tests/helpers.py``.
 #: on first access (PEP 562), so ``import gmacwt.cli`` loads only what the
 #: command runs.
 _HOMES = {
-    **dict.fromkeys(("ChannelParams", "StandardChannel", "channel_from_json",
-                     "channel_to_json", "load_channel", "standardize"), "channel"),
-    **dict.fromkeys(("InternalError", "ValidationError"), "errors"),
+    **dict.fromkeys(("ChannelParams", "InternalError", "StandardChannel", "ValidationError",
+                     "channel_from_json", "channel_to_json", "load_channel", "standardize"),
+                    "channel"),
     **dict.fromkeys(("JammingSolution", "TwoUserChannel", "jam_objective",
                      "solve_jamming"), "jamming"),
     **dict.fromkeys(("GridSpec", "grid_max_jamming", "grid_max_sum_rate",

@@ -18,7 +18,9 @@ channel to the intended receiver is relatively better than its channel to
 the eavesdropper.
 
 Every input rule is here, and so is the rate kernel that every rate shares:
-``_secrecy_rate``, on ``_capacity`` (``_capacities`` for arrays).
+``_secrecy_rate``, on ``_capacity`` (``_capacities`` for arrays).  So is what
+every other module stands on: the two exception types, and ``_Record``, the
+base of the package's channel, region and solution types.
 """
 
 from __future__ import annotations
@@ -28,8 +30,65 @@ import math
 import operator
 from itertools import repeat
 
-from .errors import ValidationError
-from .record import Record, setfield
+
+class ValidationError(ValueError):
+    """Invalid user input; the message names the offending field."""
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed (not a user error).
+
+    Raised when a closed-form result disagrees with a post-hoc check it
+    should satisfy by construction, e.g. an optimizer returning an
+    infeasible point or a brute-force cross-check disagreeing beyond
+    tolerance.
+    """
+
+
+#: ``setfield(record, name, value)`` stores a field from ``__init__``,
+#: past ``_Record.__setattr__``.  One call per field is faster than a loop.
+setfield = object.__setattr__
+
+
+class _Record:
+    """Immutable record with value semantics.
+
+    A subclass names its fields in ``__slots__`` and stores them from its
+    ``__init__`` with ``setfield``.  Equality, hashing and ``repr`` go by the
+    fields in slot order, as for a frozen dataclass: records are equal only
+    to records of the same class, and ``repr`` reads ``Name(field=value,
+    ...)``.  Assigning or deleting an attribute raises AttributeError.
+    Defining such a class takes microseconds, where the ``dataclasses``
+    import and a frozen dataclass's generated methods cost milliseconds at
+    every start.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
 
 #: A region lists all 2^K - 1 user subsets.
 MAX_USERS = 16
@@ -144,12 +203,10 @@ def _p2_points(step, p2_max):
 
 
 def _capacity(x: float, unit: str) -> float:
-    """``C(x) = 0.5 * log1p(x)`` in ``unit``, for any ``x > -1``."""
-    if unit == "bits":
-        return 0.5 * math.log1p(x) / math.log(2)
-    if unit == "nats":
-        return 0.5 * math.log1p(x)
-    _check_rate_unit(unit)  # raises: the unit is neither
+    """``C(x) = 0.5 * log1p(x)`` in ``unit``, for any ``x > -1``; ``unit`` was
+    checked on entry, so any unit but ``"bits"`` is nats."""
+    nats = 0.5 * math.log1p(x)
+    return nats / math.log(2) if unit == "bits" else nats
 
 
 def _capacities(x, unit):
@@ -180,7 +237,7 @@ def _secrecy_rate(n: float, a: float, c_m: float, b: float, c_t: float,
     return _capacity(a / (1.0 + c_m), unit) - _capacity(b / (1.0 + c_t), unit)
 
 
-class ChannelParams(Record):
+class ChannelParams(_Record):
     """Channel in raw (non-standard) form.
 
     Attributes
@@ -222,7 +279,7 @@ class ChannelParams(Record):
         return len(self.gains_to_receiver)
 
 
-class StandardChannel(Record):
+class StandardChannel(_Record):
     """Channel in standard form: unit receiver gains and unit noise.
 
     Attributes

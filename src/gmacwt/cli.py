@@ -48,9 +48,8 @@ import math
 import os
 import sys
 
-from .channel import (StandardChannel, _as_float, _check_grid, _p2_points, channel_to_json,
-                      load_channel)
-from .errors import InternalError, ValidationError
+from .channel import (InternalError, StandardChannel, ValidationError, _as_float, _check_grid,
+                      _p2_points, channel_to_json, load_channel)
 from .region import _sweep_table, build_region, is_feasible
 
 
@@ -106,12 +105,11 @@ def _load(args):
     return ch
 
 
-def _cmd_standardize(args):
-    return _json_doc(channel_to_json(_load(args)))
+def _cmd_standardize(args, ch):
+    return _json_doc(channel_to_json(ch))
 
 
-def _cmd_feasible(args):
-    ch = _load(args)
+def _cmd_feasible(args, ch):
     ok, witness = is_feasible(args.power.split(","), ch)
     doc = {"feasible": ok, "rate_unit": ch.rate_unit}
     doc["witness"] = None if witness is None else {
@@ -121,8 +119,7 @@ def _cmd_feasible(args):
     return _json_doc(doc)
 
 
-def _cmd_region(args):
-    ch = _load(args)
+def _cmd_region(args, ch):
     powers = ch.p_max if args.power is None else args.power.split(",")
     region = build_region(powers, ch)
     if args.format == "json":
@@ -136,9 +133,8 @@ def _cmd_region(args):
     return _csv(header, vertices)
 
 
-def _cmd_maxsum(args):
+def _cmd_maxsum(args, ch):
     from .sumrate import max_sum_rate
-    ch = _load(args)
     sol = max_sum_rate(ch)
     doc = sol.to_json_dict()
     if args.verify:
@@ -151,9 +147,8 @@ def _cmd_maxsum(args):
     return _json_doc(doc)
 
 
-def _cmd_jam(args):
+def _cmd_jam(args, ch):
     from .jamming import TwoUserChannel, solve_jamming
-    ch = _load(args)
     two, perm = TwoUserChannel.from_standard(ch)
     sol = solve_jamming(two, ch.rate_unit)
     doc = sol.to_json_dict(permutation=perm)
@@ -164,8 +159,7 @@ def _cmd_jam(args):
     return _json_doc(doc)
 
 
-def _cmd_sweep(args):
-    ch = _load(args)
+def _cmd_sweep(args, ch):
     if args.kind == "region":
         table = _sweep_table(ch, args.grid_steps)
         # a slice at a time, so the rows are never all Python floats at once
@@ -187,6 +181,8 @@ def _cmd_sweep(args):
     return text
 
 
+#: Each command takes the parsed arguments and the channel, which ``main()``
+#: loads first, so a refused document loads no module beyond the CLI's own.
 _COMMANDS = {
     "standardize": _cmd_standardize,
     "feasible": _cmd_feasible,
@@ -284,7 +280,7 @@ def _emit(payload, out):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _emit(_COMMANDS[args.command](args), args.out)
+        _emit(_COMMANDS[args.command](args, _load(args)), args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

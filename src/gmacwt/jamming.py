@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 
-from .channel import StandardChannel, _as_float, _check_rate_unit, _check_totals, _secrecy_rate
-from .errors import ValidationError
-from .record import Record, setfield
+from .channel import (StandardChannel, ValidationError, _as_float, _check_rate_unit,
+                      _check_totals, _Record, _secrecy_rate, setfield)
 
 BRANCH_NO_JAM = "NoJam"
 BRANCH_INTERIOR_ROOT = "InteriorRoot"
@@ -47,7 +46,7 @@ EQUAL_GAIN_TOL = 1e-12
 _max_sum_rate = None
 
 
-class TwoUserChannel(Record):
+class TwoUserChannel(_Record):
     """Two users with ``h1 <= h2``; user 2 is the candidate jammer."""
 
     __slots__ = ("h1", "h2", "p1_max", "p2_max")
@@ -79,7 +78,7 @@ class TwoUserChannel(Record):
             p1_max=ch.p_max[perm[0]], p2_max=ch.p_max[perm[1]]), perm
 
 
-class JammingSolution(Record):
+class JammingSolution(_Record):
     """Solution of the two-user jamming problem.
 
     ``branch`` records which piece of the closed form applied; ``case_tag``
@@ -122,6 +121,7 @@ def jam_objective(p1, p2, ch: TwoUserChannel, unit: str = "bits") -> float:
     p1, p2 = _as_float("p1", p1), _as_float("p2", p2)
     h1, h2 = ch.h1, ch.h2
     _check_totals((p1, p2), (h1, h2), "p1 + p2", "p1*h1 + p2*h2")
+    _check_rate_unit(unit)
     return _secrecy_rate(p1 * ((1.0 - h1) + (h2 - h1) * p2),
                          p1, p2, h1 * p1, h2 * p2, unit)
 

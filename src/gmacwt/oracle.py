@@ -16,10 +16,8 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .channel import (MAX_GRID_POINTS, StandardChannel, _capacities, _check_grid,
-                      _check_rate_unit, _step_points)
-from .errors import InternalError
-from .record import Record, setfield
+from .channel import (MAX_GRID_POINTS, InternalError, StandardChannel, _capacities,
+                      _check_grid, _check_rate_unit, _Record, _step_points, setfield)
 from .region import _axis_blocks, _grid_axis, _infeasible
 
 if TYPE_CHECKING:
@@ -30,7 +28,7 @@ if TYPE_CHECKING:
 VERIFY_TOL = 1e-9
 
 
-class GridSpec(Record):
+class GridSpec(_Record):
     """Grid resolution for the brute-force oracles.
 
     Each axis is ``{0, step, ..., p_max}`` with ``step = p_max /

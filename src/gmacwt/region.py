@@ -26,10 +26,8 @@ from collections import deque
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
-from .channel import (StandardChannel, _as_float_tuple, _as_int, _capacities, _check_grid,
-                      _checked_powers)
-from .errors import ValidationError
-from .record import Record, setfield
+from .channel import (StandardChannel, ValidationError, _as_float_tuple, _as_int, _capacities,
+                      _check_grid, _checked_powers, _Record, setfield)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -157,7 +155,7 @@ def _subset_indices(subset, num_users) -> tuple[int, ...]:
     return tuple(idx)
 
 
-class InfeasibilityWitness(Record):
+class InfeasibilityWitness(_Record):
     """First violated constraint: a power bound or a subset constraint.
     ``kind`` is "bound" or "subset"; ``users`` holds 0-based indices."""
 
@@ -210,7 +208,7 @@ def is_feasible(powers, ch: StandardChannel):
     return witness is None, witness
 
 
-class RateRegion(Record):
+class RateRegion(_Record):
     """Halfspace representation of the achievable region at fixed powers.
 
     One halfspace ``sum(R_k, k in S) <= bound`` per nonempty subset ``S``:

@@ -12,9 +12,8 @@ user with ``h_k >= 1`` silent (see ``max_sum_rate``).
 
 from __future__ import annotations
 
-from .channel import StandardChannel, _checked_powers, _secrecy_rate
-from .errors import InternalError
-from .record import Record, setfield
+from .channel import (InternalError, StandardChannel, _checked_powers, _Record, _secrecy_rate,
+                      setfield)
 
 #: A gain matching the threshold ratio within this relative tolerance is a
 #: tie; the tied user stays silent (the sum rate does not depend on its
@@ -41,7 +40,7 @@ def _sum_rate(p, ch: StandardChannel) -> float:
     return _secrecy_rate(gap, main, 0.0, tap, 0.0, ch.rate_unit)
 
 
-class SumRateSolution(Record):
+class SumRateSolution(_Record):
     """Sum-rate-optimal power allocation.
 
     Attributes
@@ -49,8 +48,10 @@ class SumRateSolution(Record):
     powers : tuple of float
         Optimal per-user powers in the original user order.
     limiting_user : int
-        Number ``l`` of full-power users in gain-sorted order; 0 means no
-        user transmits.
+        Number ``l`` of users the scan admitted at full power, in gain-sorted
+        order, zero-cap users included: ``l`` may exceed the number of users
+        with power > 0, the only ones that ``to_json_dict``'s
+        ``limiting_user`` lists.
     sum_rate : float
         Achieved sum secrecy rate (in ``rate_unit``).
     snr_ratio : float

@@ -8,9 +8,8 @@ import mpmath
 import numpy as np
 
 from gmacwt import StandardChannel, TwoUserChannel, is_feasible
-from gmacwt.channel import _capacity
+from gmacwt.channel import _capacity, _Record, setfield
 from gmacwt.jamming import _p_hi
-from gmacwt.record import Record, setfield
 
 
 def rng(seed):
@@ -85,7 +84,7 @@ def _scalar_sums(subset, powers, ch):
     return sums
 
 
-class SubsetRates(Record):
+class SubsetRates(_Record):
     """Receiver- and eavesdropper-side capacities of one user subset.
 
     ``main``/``tap`` assume the complement's signals have been removed;

@@ -720,7 +720,7 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     ``perfbench/spans.py``'s ``install``, called right after ``import
     gmacwt.cli``, reads ``sys.modules["gmacwt.region"]``: ``maxsum
     --verify`` loads no ``gmacwt.jamming``, and ``jam`` outside its
-    degenerate case no ``gmacwt.sumrate``."""
+    degenerate case no ``gmacwt.sumrate``, and a refused document neither."""
     paths = [write(tmp_path, CASE_A_DOC, "a.json"), write(tmp_path, GOOD_DOC, "g.json"),
              write(tmp_path, {"standard": True, "users": []}, "bad.json"),
              write(tmp_path, BAD_DOC, "infeasible.json")]
@@ -738,13 +738,15 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     assert report["feasible"] == [list(e) for e in expected]
     assert [json.loads(out)["feasible"] for _, out in expected] == [True, False]
 
-    base = ["gmacwt.channel", "gmacwt.cli", "gmacwt.errors", "gmacwt.record", "gmacwt.region"]
-    for argv, modules in ((["maxsum", paths[1], "--verify"], ["gmacwt.oracle", "gmacwt.sumrate"]),
-                          (["jam", paths[0]], ["gmacwt.jamming"])):
+    base = ["gmacwt.channel", "gmacwt.cli", "gmacwt.region"]
+    for argv, code, modules in (
+            (["maxsum", paths[1], "--verify"], 0, ["gmacwt.oracle", "gmacwt.sumrate"]),
+            (["jam", paths[0]], 0, ["gmacwt.jamming"]),
+            (["maxsum", paths[2], "--verify"], 1, []), (["jam", paths[2]], 1, [])):
         proc = subprocess.run(
             [sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-        assert json.loads(proc.stdout) == [0, sorted(base + modules)]
+        assert json.loads(proc.stdout) == [code, sorted(base + modules)]
 
 
 _CLOSED_FORMS_PROBE = """
@@ -770,5 +772,4 @@ def test_the_closed_forms_load_neither_region_nor_numpy():
         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     (sum_rate, case), modules = json.loads(proc.stdout)
     assert sum_rate > 0 and case == "A"
-    assert modules == ["gmacwt", "gmacwt.channel", "gmacwt.errors", "gmacwt.jamming",
-                       "gmacwt.record", "gmacwt.sumrate"]
+    assert modules == ["gmacwt", "gmacwt.channel", "gmacwt.jamming", "gmacwt.sumrate"]

@@ -299,6 +299,18 @@ def test_solve_jamming_refuses_a_bad_rate_unit(ch):
         solve_jamming(ch, "dB")
 
 
+@pytest.mark.parametrize("unit", ["dB", None])
+def test_jam_objective_refuses_a_bad_rate_unit(unit):
+    """On entry, after the powers and their totals: a bad power or an
+    overflowing total is named before the unit."""
+    with pytest.raises(ValidationError, match="rate_unit: must be one of"):
+        jam_objective(1.0, 2.0, CASE_A_CH, unit)
+    with pytest.raises(ValidationError, match="p1: must be finite"):
+        jam_objective(-1.0, 2.0, CASE_A_CH, unit)
+    with pytest.raises(ValidationError, match=r"p1 \+ p2: the users' total overflows"):
+        jam_objective(1e308, 1e308, CASE_A_CH, unit)
+
+
 def test_solution_rate_unit_passthrough():
     sol_bits = solve_jamming(CASE_A_CH, "bits")
     sol_nats = solve_jamming(CASE_A_CH, "nats")

@@ -46,7 +46,7 @@ from gmacwt import (
     verify_jamming,
     verify_sum_rate,
 )
-from gmacwt.record import Record
+from gmacwt.channel import _Record
 from gmacwt.sumrate import sum_secrecy_rate
 
 MAX = 1.7976931348623157e308
@@ -199,7 +199,7 @@ def _floats(value):
         return [float(value)]
     if isinstance(value, np.ndarray):
         return value.ravel().tolist()
-    if isinstance(value, Record):
+    if isinstance(value, _Record):
         value = value._values()
     if isinstance(value, dict):
         value = list(value.values())

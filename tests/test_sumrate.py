@@ -73,6 +73,15 @@ def test_max_sum_rate_all_users_pruned():
     assert sol.snr_ratio == 1.0
 
 
+def test_limiting_user_counts_admitted_zero_cap_users():
+    """The field counts every user the scan admitted; the JSON lists only
+    the users with power > 0."""
+    sol = max_sum_rate(StandardChannel(h=(0.2, 0.5), p_max=(0.0, 0.0)))
+    assert sol.powers == (0.0, 0.0)
+    assert sol.limiting_user == 2
+    assert sol.to_json_dict()["limiting_user"] == []
+
+
 def test_max_sum_rate_unsorted_input_maps_back():
     sol = max_sum_rate(StandardChannel(h=(0.2, 0.1), p_max=(7, 9)))
     assert sol.powers == (0.0, 9.0)
