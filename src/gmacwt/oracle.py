@@ -8,6 +8,16 @@ closed form passes when its powers lie in that set, the oracle's formula
 gives its rate there within ``VERIFY_TOL``, and no grid point beats that
 rate by more; a grid may fall short of it by any amount.  Ties go to the
 lexicographically smallest power vector, so runs are bit-identical.
+
+The sum-rate oracle decides feasibility at one point per block, not at
+every grid point.  Write ``x = P_S``, ``y = hP_S``, ``a = P_{S^c}`` and
+``b = hP_{S^c}`` for a subset ``S``.  A point whose ``S`` is violated
+(``x (1 + b) < y``) has a lower sum rate than the same point with
+``P_S = 0``, since beating it needs ``x (1 + b) > y (1 + a)``; that point
+is on the grid and comes earlier in lexicographic order.  So in exact
+arithmetic the grid's first top-rate point is feasible, and the
+prefix check of ``gmacwt.region`` runs on the whole block only when
+rounding has made that point infeasible.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from .channel import (MAX_GRID_POINTS, InternalError, StandardChannel, _capacities,
                       _check_grid, _check_rate_unit, _Record, _step_points, setfield)
-from .region import _axis_blocks, _grid_axis, _infeasible
+from .region import _axis_blocks, _grid_axis, _infeasible, _witness
 
 if TYPE_CHECKING:
     from .jamming import JammingSolution, TwoUserChannel
@@ -52,8 +62,7 @@ _BLOCK_ENTRIES = 1 << 16
 def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     """Exhaustive sum-rate maximization over the feasible grid points.
 
-    Feasibility comes from the gain-sorted prefixes of ``gmacwt.region``
-    and the sum rate is the full set's bound.  User ``k``'s axis is array
+    The sum rate is the full set's bound.  User ``k``'s axis is array
     dimension ``k`` and numpy broadcasts the axes against each other, so
     a sum over the last users is only as large as their part of the grid.
     The grid is searched a block of at most ``_BLOCK_ENTRIES`` points at
@@ -62,6 +71,17 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     whole.  The blocks come in lexicographic order, so memory does not
     grow with the grid and the first maximum is the lexicographically
     smallest.
+
+    A block is skipped unless its first top-rate point beats the best so
+    far (strictly, so a tie keeps the earlier point).  Only that point is
+    checked for feasibility, by ``region._witness``, whose prefix sums are
+    the float operations of ``region._infeasible`` in the same order.  By
+    the module docstring's argument it is feasible in exact arithmetic;
+    if rounding makes it read infeasible, the block's points are masked by
+    the full prefix check and its argmax is taken again.  A feasible point
+    that beats an infeasible one lies in the same block or an earlier one,
+    so the result is the first maximum among the feasible points, as a
+    search that masks every block would find.
 
     Returns
     -------
@@ -83,26 +103,31 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
     best, best_rate = None, -math.inf  # zero power is always feasible, so a max exists
     for fixed in itertools.product(*(_grid_axis(p, steps).tolist() for p in ch.p_max[:cut])):
         for part in _axis_blocks(ch.p_max[cut], steps, run):
-            rate = _sum_rates([*fixed, part.reshape(-1, *[1] * (k - 1 - cut)), *rest], ch)
-            i = int(rate.argmax())  # first max = lexicographically smallest
-            if rate.flat[i] > best_rate:
+            columns = [*fixed, part.reshape(-1, *[1] * (k - 1 - cut)), *rest]
+            rate = _sum_rates(columns, ch)
+            for masked in (False, True):
+                i = int(rate.argmax())  # first max = lexicographically smallest
+                if not rate.flat[i] > best_rate:
+                    break
                 index = np.unravel_index(i, rate.shape)
-                best_rate = rate.flat[i]
-                best = (*fixed, *(float(x.flat[n]) for x, n in zip([part, *rest], index)))
+                point = (*fixed, *(float(x.flat[n]) for x, n in zip([part, *rest], index)))
+                if masked or _witness(point, ch) is None:
+                    best, best_rate = point, rate.flat[i]
+                    break
+                # only rounding gets here: mask the block and take its argmax again
+                rate[_infeasible(columns, [g * x for g, x in zip(ch.h, columns)], ch.h)] = -math.inf
     return best, float(best_rate)
 
 
 def _sum_rates(columns, ch: StandardChannel):
     """The full set's bound (its complement is empty) at the points of the
-    per-user ``columns``, axes that broadcast; -inf where infeasible."""
+    per-user ``columns``, axes that broadcast; feasibility is not checked."""
     hp = [g * x for g, x in zip(ch.h, columns)]
     s_p, s_hp = columns[-1], hp[-1]
     for j in reversed(range(len(columns) - 1)):  # as the subset table adds
         s_p = s_p + columns[j]
         s_hp = s_hp + hp[j]
-    rate = _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
-    rate[_infeasible(columns, hp, ch.h)] = -math.inf
-    return rate
+    return _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)
 
 
 def _jam_rates(p1, p2, ch: TwoUserChannel, unit):
@@ -170,7 +195,9 @@ def _certify_sum_rate(who, ch: StandardChannel, powers, claimed, steps):
     """``_certify`` on ``grid_max_sum_rate``'s grid; returns ``(p_star, rate, gap)``."""
     import numpy as np
     p_star, rate = grid_max_sum_rate(ch, GridSpec(steps))
-    gap = _certify(who, powers, ch.p_max, lambda p: float(_sum_rates(np.array(p)[:, None], ch)[0]),
+    gap = _certify(who, powers, ch.p_max,
+                   lambda p: -math.inf if _witness(p, ch) is not None else
+                   float(_sum_rates(np.array(p)[:, None], ch)[0]),
                    claimed, rate, f"; oracle found p_star={list(p_star)}")
     return list(p_star), rate, gap
 

@@ -216,11 +216,16 @@ def _sum_bits(result):
 
 
 def _mixed_channel(gen, k, unit):
-    """Gains below, near and above 1; caps of every magnitude, 0 and
-    subnormal-tiny among them (axes that repeat points and shrink)."""
+    """Gains below, near and above 1, one ulp from it among them; caps of
+    every magnitude up to 1e300, 0 and subnormal-tiny among them (axes
+    that repeat points and shrink).  Huge caps and gains within an ulp of
+    1 are where rounding comes nearest to tying a feasible point with an
+    infeasible one."""
     h = [float(gen.choice([gen.uniform(0.05, 0.95), gen.uniform(1.05, 4.0),
-                           1.0 + gen.uniform(-1e-9, 1e-9), 0.0])) for _ in range(k)]
-    p = [float(gen.choice([gen.uniform(0.5, 20.0), 10 ** gen.uniform(-6, 6), 0.0, 1e-310]))
+                           1.0 + gen.uniform(-1e-9, 1e-9), 0.0, 1.0 + EPS, 1.0 - EPS]))
+         for _ in range(k)]
+    p = [float(gen.choice([gen.uniform(0.5, 20.0), 10 ** gen.uniform(-6, 6), 0.0, 1e-310,
+                           10 ** gen.uniform(6, 300)]))
          for _ in range(k)]
     return StandardChannel(h=h, p_max=p, rate_unit=unit)
 
@@ -268,6 +273,29 @@ def test_sum_rate_oracle_adds_the_users_in_the_flat_search_order():
                 assert _sum_bits(grid_max_sum_rate(ch, GridSpec(steps_per_axis=3))) == _sum_bits(expected)
 
 
+def test_sum_rate_oracle_skips_the_full_grid_mask():
+    """On channels like the benchmark's (gains off 1 by 5% or within 1e-9
+    of it, caps of 0.5 to 20) feasibility is decided at each block's first
+    top point alone: the prefix check over the block never runs, and the
+    result is still the full search's, bit for bit."""
+    gen = rng(57)
+
+    def gain():
+        return float(gen.choice([gen.uniform(0.05, 0.95), gen.uniform(1.05, 4.0),
+                                 1.0 + gen.uniform(-1e-9, 1e-9)]))
+
+    with mock.patch.object(oracle, "_infeasible", side_effect=AssertionError("masked")):
+        for k, steps in [(2, 11), (3, 11), (4, 11), (5, 11), (5, 6), (6, 6)]:
+            for unit in ("bits", "nats"):
+                for _ in range(6):
+                    ch = StandardChannel(h=[gain() for _ in range(k)],
+                                         p_max=gen.uniform(0.5, 20.0, k).tolist(), rate_unit=unit)
+                    expected, _ = _flat_index_search(ch, steps)
+                    result = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
+                    assert _sum_bits(result) == _sum_bits(expected)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
 @pytest.mark.parametrize("unit", ["bits", "nats"])
 @pytest.mark.parametrize("ch,steps,block,boundary", [
     # one user's axis sliced: blocks of 65536 // 300 = 218 points of P1
@@ -276,19 +304,26 @@ def test_sum_rate_oracle_adds_the_users_in_the_flat_search_order():
     (StandardChannel(h=(0.5, 0.3, 0.2), p_max=(1e-300, 10.0, 5.0)), 5, 16, (1, 4, 4)),
 ])
 def test_sum_rate_oracle_keeps_a_maximum_tied_across_a_block_boundary(
-        ch, steps, block, boundary, unit):
+        ch, steps, block, boundary, unit, fallback):
     """P1 is below the float spacing of the other powers, so the rate at
     full power for the other users is the same for every P1, the first of
     those points (P1 = 0) is the answer, and the tied maxima lie in
-    different blocks."""
+    different blocks.  With ``fallback`` the point check reads every
+    block's first top point as infeasible, as rounding could, so each
+    block that could beat the best so far is masked whole instead."""
     ch = StandardChannel(h=ch.h, p_max=ch.p_max, rate_unit=unit)
     expected, rates = _flat_index_search(ch, steps)
     first = (0,) + boundary[1:]
     assert rates[first] == rates[boundary] == rates.max()
     assert expected[0][0] == 0.0
-    with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
+    point_check = mock.Mock(return_value=True) if fallback else oracle._witness
+    masked = mock.Mock(wraps=oracle._infeasible)
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", block), \
+            mock.patch.object(oracle, "_witness", point_check), \
+            mock.patch.object(oracle, "_infeasible", masked):
         result = grid_max_sum_rate(ch, GridSpec(steps_per_axis=steps))
     assert _sum_bits(result) == _sum_bits(expected)
+    assert masked.called == fallback
 
 
 def _one_pass_jamming(ch, steps, unit):
