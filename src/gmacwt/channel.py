@@ -25,6 +25,7 @@ base of the package's channel, region and solution types.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
@@ -414,13 +415,32 @@ def channel_to_json(ch: StandardChannel) -> dict:
     }
 
 
+#: The most characters a finite double takes written out in full: ``-0.``
+#: and the 1074 decimals of 2^-1074, as every double below 1 has at most.
+_MAX_NUMBER_CHARS = 1077
+
+#: The most bytes of a channel document that ``load_channel`` reads.  The
+#: largest document it accepts is a raw one with ``MAX_USERS`` users: three
+#: numbers a user and the two noise variances.  Each of those numbers is
+#: allowed its full decimal expansion and 1024 more bytes for its key,
+#: punctuation and whitespace, far more than any indentation needs.  A longer
+#: file, ``/dev/zero`` included, is refused after this many bytes and one more.
+MAX_DOCUMENT_BYTES = (3 * MAX_USERS + 2) * (_MAX_NUMBER_CHARS + 1024)
+
+
 def load_channel(path) -> StandardChannel:
-    """Read a channel JSON file and return its standard form."""
+    """Read a channel JSON file of at most ``MAX_DOCUMENT_BYTES`` and return
+    its standard form."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise ValidationError(f"input: cannot read {path}: {exc}") from None
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ValidationError(f"input: {path} is longer than {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        # decoded as a file opened in text mode as UTF-8 reads it, newlines included
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except (ValueError, RecursionError) as exc:  # bad JSON, a too-long integer, too deep nesting
         raise ValidationError(f"input: {path} is not valid JSON: {exc}") from None
     return channel_from_json(doc)

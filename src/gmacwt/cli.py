@@ -15,10 +15,19 @@ floats use their shortest round-trip representation.  Exit status 1 marks
 invalid input, 2 an internal consistency failure (e.g. a closed form
 that fails the ``--verify`` check of ``gmacwt.oracle``).
 
-Each command imports the modules it runs: ``standardize``, ``feasible``
+Each command runs only the modules it needs: ``standardize``, ``feasible``
 and ``region`` never load ``sumrate``, ``jamming`` or ``oracle``,
 ``maxsum`` loads ``sumrate`` (and ``oracle`` with ``--verify``) but never
 ``jamming``, and ``jam`` loads ``sumrate`` only for two gains below 1.
+``gmacwt.region`` is registered in ``sys.modules`` (and bound on the
+package) when this module is imported, through ``importlib.util.LazyLoader``,
+but ``region.py`` is compiled and run only on the first attribute access:
+``feasible``, ``region``, ``sweep --kind region`` and ``--verify`` (whose
+oracle imports it) run it, while ``standardize``, ``maxsum``, ``jam``,
+``sweep --kind jam`` and a refused document never do.  It is registered
+rather than imported inside the commands because tools that wrap the
+package's entry points, such as ``perfbench/spans.py``, look it up in
+``sys.modules`` right after ``import gmacwt.cli``.
 
 ``run()`` is the process entry (the ``gmacwt`` script and ``python -m
 gmacwt.cli``).  It sets ``OPENBLAS_NUM_THREADS=1`` before ``main()`` can
@@ -35,7 +44,11 @@ in-process callers see none of this.
 
 Output is written and flushed inside ``main()``: a stdout that cannot take
 it (a closed pipe, a full disk, no fd 1) is refused like an ``--out`` file
-that cannot be written, with one ``error:`` line and exit 1.
+that cannot be written, with one ``error:`` line and exit 1.  So is a
+request that runs out of memory (``error: out of memory``): every input
+the CLI takes is bounded, the channel document by
+``channel.MAX_DOCUMENT_BYTES``, so a ``MemoryError`` means a memory limit
+below what a valid request needs, not a fault of the program.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import errno
+import importlib.util
 import json
 import math
 import os
@@ -50,7 +64,27 @@ import sys
 
 from .channel import (InternalError, StandardChannel, ValidationError, _as_float, _check_grid,
                       _p2_points, channel_to_json, load_channel)
-from .region import _sweep_table, build_region, is_feasible
+
+
+def _lazy_import(name):
+    """``import name``, with the module's code run on its first attribute
+    access.  The module goes into ``sys.modules`` and onto its package now,
+    where the import system puts an imported module, so ``import``,
+    ``from ... import`` and pickle all find it; whichever reads from it
+    first runs it."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+    return module
+
+
+region = _lazy_import(f"{__package__}.region")
 
 
 def _fmt(value) -> str:
@@ -74,24 +108,24 @@ def _json_doc(doc) -> str:
         raise InternalError(f"non-finite value in the JSON output ({exc})") from None
 
 
-def _region_json(region) -> str:
-    """``_json_doc(region.to_json_dict())``, byte for byte, without the
+def _region_json(rate_region) -> str:
+    """``_json_doc(rate_region.to_json_dict())``, byte for byte, without the
     document: with an indent, ``json.dumps`` runs its pure-Python encoder,
     over a second for the 2^16 - 1 halfspaces of 16 users, so each
     halfspace is filled into one template instead."""
-    if not all(map(math.isfinite, region.bounds)):
+    if not all(map(math.isfinite, rate_region.bounds)):
         raise InternalError("non-finite value in the JSON output (a bound)")
     items = [""]  # the list items of every subset's text, in bitmask order
-    for k in range(1, region.num_users + 1):
+    for k in range(1, rate_region.num_users + 1):
         item = f",\n        {k}"
         items += [s + item for s in items]
     halfspaces = ",\n".join(
         f'    {{\n      "subset": [{s[1:]}\n      ],\n      "bound": {b!r}\n    }}'
-        for s, b in zip(items[1:], region.bounds))
-    vertices = region.vertices
+        for s, b in zip(items[1:], rate_region.bounds))
+    vertices = rate_region.vertices
     rest = _json_doc({
-        "feasible": region.feasible,
-        "rate_unit": region.rate_unit,
+        "feasible": rate_region.feasible,
+        "rate_unit": rate_region.rate_unit,
         "halfspaces": None,
         "vertices": None if vertices is None else [list(v) for v in vertices],
     })
@@ -110,7 +144,7 @@ def _cmd_standardize(args, ch):
 
 
 def _cmd_feasible(args, ch):
-    ok, witness = is_feasible(args.power.split(","), ch)
+    ok, witness = region.is_feasible(args.power.split(","), ch)
     doc = {"feasible": ok, "rate_unit": ch.rate_unit}
     doc["witness"] = None if witness is None else {
         "kind": witness.kind,
@@ -121,10 +155,10 @@ def _cmd_feasible(args, ch):
 
 def _cmd_region(args, ch):
     powers = ch.p_max if args.power is None else args.power.split(",")
-    region = build_region(powers, ch)
+    rate_region = region.build_region(powers, ch)
     if args.format == "json":
-        return _region_json(region)
-    vertices = region.vertices  # None above 2 users
+        return _region_json(rate_region)
+    vertices = rate_region.vertices  # None above 2 users
     if vertices is None:
         raise ValidationError(
             "format: CSV vertex output is only available for 1- or 2-user "
@@ -161,7 +195,7 @@ def _cmd_jam(args, ch):
 
 def _cmd_sweep(args, ch):
     if args.kind == "region":
-        table = _sweep_table(ch, args.grid_steps)
+        table = region._sweep_table(ch, args.grid_steps)
         # a slice at a time, so the rows are never all Python floats at once
         rows = (row for i in range(0, len(table), 4096) for row in table[i:i + 4096].tolist())
         text = _csv("P1,P2,b1,b2,b12", rows)
@@ -287,6 +321,9 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # what the request needs passes the process's memory limit
+        print("error: out of memory", file=sys.stderr)
+        return 1
     return 0
 
 

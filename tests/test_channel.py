@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from gmacwt import (
     channel_to_json,
     standardize,
 )
+from gmacwt.channel import MAX_DOCUMENT_BYTES, MAX_USERS, _MAX_NUMBER_CHARS, load_channel
 
 from helpers import rng
 
@@ -227,3 +230,20 @@ def test_channel_from_json_reads_a_boolean_standard_flag():
         == channel_from_json(RAW_DOC_FOR_FLAG)
     assert channel_from_json({"standard": True, "users": [{"h": 0.5, "power_max": 1.0}]}) \
         == channel_from_json(RAW_DOC_FOR_FLAG)
+
+
+def test_the_largest_legitimate_document_fits_the_byte_cap(tmp_path):
+    """A raw document of ``MAX_USERS`` users, indented four spaces a level,
+    whose every number is written with the most characters a double's full
+    decimal expansion takes: ``load_channel`` reads it within the cap, as the
+    same channel as the numbers written short."""
+    doc = {"users": [{"gain_receiver": 4 + k, "gain_eavesdropper": 1, "power_max": 5}
+                     for k in range(MAX_USERS)],
+           "noise_var_receiver": 2, "noise_var_eavesdropper": 1}
+    text = re.sub(r"(?<=: )(\d+)", lambda m: (m[1] + ".").ljust(_MAX_NUMBER_CHARS, "0"),
+                  json.dumps(doc, indent=4))
+    assert text.count("0" * 1000) == 3 * MAX_USERS + 2
+    assert len(text.encode()) <= MAX_DOCUMENT_BYTES
+    path = tmp_path / "longest.json"
+    path.write_text(text)
+    assert load_channel(path) == channel_from_json(doc)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from importlib import import_module
@@ -124,7 +125,7 @@ def test_region_json_equals_the_generic_encoder(tmp_path, capsys, users, unit):
 
 
 def test_non_finite_region_bound_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_region",
+    monkeypatch.setattr("gmacwt.region.build_region",
                         lambda powers, ch: RateRegion((1.0, math.nan, 2.0), True, "bits"))
     code, out, err = run(capsys, "region", write(tmp_path, GOOD_DOC))
     assert code == 2
@@ -670,9 +671,17 @@ def test_unwritable_output_file_exits_1(tmp_path, capsys):
     assert not target.exists()
 
 
+_REGION_RUN = """
+def region_run():
+    # the module's own dict, read without the attribute access that runs it
+    module = sys.modules["gmacwt.region"]
+    return "build_region" in types.ModuleType.__getattribute__(module, "__dict__")
+"""
+
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import gmacwt, gmacwt.cli as cli
+""" + _REGION_RUN + """
 
 def main(*argv):
     out = io.StringIO()
@@ -685,7 +694,7 @@ def loaded(*names):
 
 case_a, good, bad, infeasible = sys.argv[1:]
 seen = {"import": loaded("numpy", "dataclasses", "inspect"),
-        "gmacwt.region": "gmacwt.region" in sys.modules}
+        "gmacwt.region": ["gmacwt.region" in sys.modules, region_run()]}
 codes = [main("standardize", case_a)[0]]
 feasible = [main("feasible", good, "--power", "10,10"),
             main("feasible", infeasible, "--power", "1,1")]
@@ -703,11 +712,13 @@ print(json.dumps({"seen": seen, "codes": codes, "feasible": feasible}))
 
 
 _MODULES_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import gmacwt.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
+""" + _REGION_RUN + """
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gmacwt."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gmacwt.")),
+                  region_run()]))
 """
 
 
@@ -715,12 +726,14 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     """numpy loads only where an array is built: never on import, nor for
     standardize, feasible, maxsum, jam, the jamming sweep or a rejected
     document.  Neither does ``dataclasses`` (nor ``inspect``, which it
-    pulls in), and each command loads only the modules it runs, except
-    that ``gmacwt.region`` loads with the CLI, at module level, because
-    ``perfbench/spans.py``'s ``install``, called right after ``import
-    gmacwt.cli``, reads ``sys.modules["gmacwt.region"]``: ``maxsum
+    pulls in), and each command runs only the modules it needs: ``maxsum
     --verify`` loads no ``gmacwt.jamming``, and ``jam`` outside its
-    degenerate case no ``gmacwt.sumrate``, and a refused document neither."""
+    degenerate case no ``gmacwt.sumrate``, and a refused document neither.
+    ``gmacwt.region`` is in ``sys.modules`` from ``import gmacwt.cli`` on,
+    because ``perfbench/spans.py``'s ``install``, called right after that
+    import, reads ``sys.modules["gmacwt.region"]``; but it is registered
+    lazily, and its code runs only in ``feasible``, ``region``, ``sweep
+    --kind region`` and ``--verify``, the commands that call it."""
     paths = [write(tmp_path, CASE_A_DOC, "a.json"), write(tmp_path, GOOD_DOC, "g.json"),
              write(tmp_path, {"standard": True, "users": []}, "bad.json"),
              write(tmp_path, BAD_DOC, "infeasible.json")]
@@ -729,7 +742,7 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
         [sys.executable, "-c", _IMPORT_PROBE, *paths], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     report = json.loads(proc.stdout)
-    assert report["seen"] == {"import": [], "gmacwt.region": True,
+    assert report["seen"] == {"import": [], "gmacwt.region": [True, False],
                               "standardize_feasible": [], "maxsum": ["gmacwt.sumrate"],
                               "closed_form": [], "verify": True, "numpy.ma": False}
     assert report["codes"] == [0, 0, 0, 0, 1, 0]
@@ -739,14 +752,60 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path, capsys):
     assert [json.loads(out)["feasible"] for _, out in expected] == [True, False]
 
     base = ["gmacwt.channel", "gmacwt.cli", "gmacwt.region"]
-    for argv, code, modules in (
-            (["maxsum", paths[1], "--verify"], 0, ["gmacwt.oracle", "gmacwt.sumrate"]),
-            (["jam", paths[0]], 0, ["gmacwt.jamming"]),
-            (["maxsum", paths[2], "--verify"], 1, []), (["jam", paths[2]], 1, [])):
+    for argv, code, modules, region_run in (
+            (["standardize", paths[0]], 0, [], False),
+            (["maxsum", paths[1]], 0, ["gmacwt.sumrate"], False),
+            (["jam", paths[0]], 0, ["gmacwt.jamming"], False),
+            (["sweep", paths[0], "--kind", "jam"], 0, ["gmacwt.jamming"], False),
+            (["maxsum", paths[2], "--verify"], 1, [], False), (["jam", paths[2]], 1, [], False),
+            (["feasible", paths[2], "--power", "1"], 1, [], False),
+            (["feasible", paths[1], "--power", "1,1"], 0, [], True),
+            (["region", paths[1]], 0, [], True),
+            (["sweep", paths[1], "--kind", "region", "--grid-steps", "3"], 0, [], True),
+            (["maxsum", paths[1], "--verify"], 0, ["gmacwt.oracle", "gmacwt.sumrate"], True),
+            (["jam", paths[0], "--verify"], 0, ["gmacwt.jamming", "gmacwt.oracle"], True)):
         proc = subprocess.run(
             [sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-        assert json.loads(proc.stdout) == [code, sorted(base + modules)]
+        assert json.loads(proc.stdout) == [code, sorted(base + modules), region_run], argv
+
+
+_FIRST_ACCESS_PROBE = """
+import json, pickle, sys
+import gmacwt.cli
+from gmacwt.channel import StandardChannel
+ch = StandardChannel((0.1, 0.2), (10, 10))
+how = sys.argv[1]
+if how == "import":
+    import gmacwt.region
+    found = gmacwt.region.build_region((10, 10), ch)
+elif how == "from":
+    from gmacwt import region
+    found = region.build_region((10, 10), ch)
+elif how == "package":
+    found = gmacwt.build_region((10, 10), ch)
+else:
+    found = pickle.loads(bytes.fromhex(sys.argv[2]))
+module = sys.modules["gmacwt.region"]
+print(json.dumps([found.bounds, found == module.build_region((10, 10), ch),
+                  type(found) is module.RateRegion, gmacwt.region is module,
+                  gmacwt.build_region is module.build_region]))
+"""
+
+
+@pytest.mark.parametrize("how", ["import", "from", "package", "pickle"])
+def test_the_lazily_registered_region_runs_on_any_first_use(how):
+    """After ``import gmacwt.cli`` has registered ``gmacwt.region`` without
+    running it, each way of reaching the module runs it once and gets the
+    same module: ``import gmacwt.region``, ``from gmacwt import region``,
+    the package's ``gmacwt.build_region`` and unpickling a ``RateRegion``."""
+    expected = build_region((10, 10), StandardChannel((0.1, 0.2), (10, 10)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_ACCESS_PROBE, how, pickle.dumps(expected).hex()],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120, check=True)
+    assert json.loads(proc.stdout) == [list(expected.bounds), True, True, True, True]
 
 
 _CLOSED_FORMS_PROBE = """

@@ -2,8 +2,10 @@
 unless the caller set ``OPENBLAS_NUM_THREADS``, with the same output either
 way, while ``cli.main()`` leaves the environment alone; the process ends
 without the interpreter's teardown, with the same output, exit handlers and
-profiler report as one that tears down; and a stdout that cannot be written
-is a refusal."""
+profiler report as one that tears down; a stdout that cannot be written
+is a refusal; and an endless or oversized channel file, or a request that
+runs out of memory, is one stderr line and exit 1, under an address-space
+limit that the child sets on itself."""
 
 import atexit
 import errno
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import gmacwt.cli as cli
+from gmacwt.channel import MAX_DOCUMENT_BYTES
 
 ROOT = Path(__file__).resolve().parents[1]
 VAR = "OPENBLAS_NUM_THREADS"
@@ -292,3 +295,53 @@ def test_a_closed_stdout_is_refused(tmp_path, unbuffered):
         [sys.executable, "-c", _WITHOUT_FD_1, "standardize", write_doc(tmp_path)],
         stderr=subprocess.PIPE, text=True, env=process_env(unbuffered), timeout=120)
     _refused(proc, errno.EBADF)
+
+
+# -- bounded memory --------------------------------------------------------------
+
+#: The child's address-space limit: ample for a process without numpy, and
+#: low enough that an unbounded read fails in a fraction of a second.
+ADDRESS_SPACE = 256 << 20
+
+_LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (%d, %d))
+import gmacwt.cli
+if sys.argv[1] == "--exhaust":  # a command whose request passes the limit
+    del sys.argv[1]
+    gmacwt.cli._COMMANDS["standardize"] = lambda args, ch: bytearray(1 << 40)
+gmacwt.cli.run()
+""" % (ADDRESS_SPACE, ADDRESS_SPACE)
+
+
+def _limited(*argv):
+    return subprocess.run([sys.executable, "-c", _LIMITED, *argv], capture_output=True,
+                          text=True, env=child_env(None), timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_channel_file_is_refused_after_the_byte_cap():
+    proc = _limited("standardize", "/dev/zero")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: input: /dev/zero is longer than {MAX_DOCUMENT_BYTES} bytes\n"
+
+
+def test_a_channel_file_one_byte_past_the_cap_is_refused(tmp_path):
+    """A valid document padded with spaces: at the cap it is read, one byte
+    past it it is refused unparsed."""
+    path = tmp_path / "padded.json"
+    text = json.dumps(CASE_A_DOC)
+    path.write_text(text + " " * (MAX_DOCUMENT_BYTES - len(text)))
+    proc = _limited("standardize", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["users"][1]["h"] == 1.4
+    with open(path, "a") as fh:
+        fh.write(" ")
+    proc = _limited("standardize", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: input: {path} is longer than {MAX_DOCUMENT_BYTES} bytes\n"
+
+
+def test_a_request_that_runs_out_of_memory_is_one_line(tmp_path):
+    proc = _limited("--exhaust", "standardize", write_doc(tmp_path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
