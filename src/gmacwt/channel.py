@@ -29,6 +29,8 @@ import io
 import json
 import math
 import operator
+import os
+import stat
 from itertools import repeat
 
 
@@ -430,9 +432,19 @@ MAX_DOCUMENT_BYTES = (3 * MAX_USERS + 2) * (_MAX_NUMBER_CHARS + 1024)
 
 def load_channel(path) -> StandardChannel:
     """Read a channel JSON file of at most ``MAX_DOCUMENT_BYTES`` and return
-    its standard form."""
+    its standard form.
+
+    The path is opened without blocking, so that a FIFO with no writer
+    does not hold up the open, and a FIFO or socket is refused before any
+    read: no byte cap bounds how long a read from one may wait.  Any other
+    file is read in blocking mode.
+    """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", opener=lambda f, flags: os.open(f, flags | os.O_NONBLOCK)) as fh:
+            mode = os.fstat(fh.fileno()).st_mode
+            if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
+                raise ValidationError(f"input: {path} is a pipe or socket, not a file")
+            os.set_blocking(fh.fileno(), True)
             data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise ValidationError(f"input: cannot read {path}: {exc}") from None

@@ -20,9 +20,9 @@ without it.
 
 from __future__ import annotations
 
-import gc
 import sys
 from collections import deque
+from functools import cache
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
@@ -129,12 +129,22 @@ def _infeasible(columns, hp, h):
     return first
 
 
-def _subset_users(k: int) -> list[tuple[int, ...]]:
-    """User tuples of every subset in bitmask order, empty set first."""
+def _subset_users(k: int, first: int = 0) -> list[tuple[int, ...]]:
+    """User tuples of every subset in bitmask order, empty set first, with
+    the users numbered from ``first``."""
     users = [()]
-    for j in range(k):
+    for j in range(first, first + k):
         users += [u + (j,) for u in users]
     return users
+
+
+@cache
+def _json_subsets(k: int) -> tuple[tuple[int, ...], ...]:
+    """The ``subset`` entries of ``RateRegion.to_json_dict``: 1-based user
+    tuples of every nonempty subset in bitmask order, built on the first
+    call for each K and shared by every later one (7 MB at K = 16, held
+    for the life of the process)."""
+    return tuple(_subset_users(k, 1)[1:])
 
 
 def _finite_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
@@ -258,31 +268,17 @@ class RateRegion(_Record):
         return all(s <= b + CONTAINS_TOL for s, b in zip(sums[1:], self.bounds))
 
     def to_json_dict(self) -> dict:
-        """The region as a JSON document, with fresh lists on every call.
+        """The region as a JSON document, with fresh dicts on every call.
 
-        The 2^K - 1 halfspaces are built with the cyclic garbage collector
-        paused (and left as it was found): they are about 2^(K+1) new
-        lists and dicts, none of which can be part of a cycle, and unpaused
-        they set off a collector pass every few hundred allocations.  One
-        pass still runs inside the call: allocating the outer dict, just
-        after the collector is re-enabled, sets off a young-generation pass
-        over all of the new objects (12-18 ms at K = 16, now and then an
-        older generation's pass of 50-70 ms instead).  Allocating the dict
-        inside the pause too would only move that pass to the caller's
-        next allocation.  The switch is process-wide: a thread that flips
-        it during this call can see its setting undone.
+        Each halfspace's ``subset`` is a tuple of 1-based users shared by
+        every region with the same K.  A halfspace dict then holds only
+        that immutable tuple and a float, so CPython does not track it for
+        the cyclic garbage collector once a collector pass has examined the
+        shared tuples, and the 2^K - 1 dicts of a call give the collector
+        nothing to walk.
         """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            subsets = [[]]  # 1-based users of every subset, in bitmask order
-            for k in range(1, self.num_users + 1):
-                subsets += [[*s, k] for s in subsets]
-            halfspaces = [{"subset": users, "bound": bound}
-                          for users, bound in zip(subsets[1:], self.bounds)]
-        finally:
-            if enabled:
-                gc.enable()
+        halfspaces = [{"subset": users, "bound": bound}
+                      for users, bound in zip(_json_subsets(self.num_users), self.bounds)]
         vertices = self.vertices
         return {
             "feasible": self.feasible,

@@ -345,3 +345,24 @@ def test_a_channel_file_one_byte_past_the_cap_is_refused(tmp_path):
 def test_a_request_that_runs_out_of_memory_is_one_line(tmp_path):
     proc = _limited("--exhaust", "standardize", write_doc(tmp_path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
+# -- bounded waiting -------------------------------------------------------------
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("held_open", [False, True], ids=["no-writer", "held-open"])
+def test_a_fifo_is_refused_without_waiting_for_a_writer(tmp_path, held_open):
+    """A FIFO that no process has open, or one held open for writing that
+    never sends a byte or closes: either would block an open or a read
+    for good, and no byte cap bounds that wait."""
+    fifo = tmp_path / "channel.json"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDWR) if held_open else None
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gmacwt.cli", "standardize", str(fifo)],
+                              capture_output=True, text=True, env=child_env(None), timeout=30)
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: input: {fifo} is a pipe or socket, not a file\n"

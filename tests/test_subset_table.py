@@ -9,6 +9,8 @@ different magnitudes meet, and for the bound property 1e-300 to 1e300.
 """
 
 import gc
+import json
+import sys
 
 import numpy as np
 import pytest
@@ -207,37 +209,71 @@ def test_region_bounds_stand_for_their_halfspace_pairs(case, data):
     moved[i] += 1.0
     assert RateRegion(tuple(moved), region.feasible, ch.rate_unit) != region
 
+    _assert_document_stands_for_pairs(region, pairs)
+
+
+def _assert_document_stands_for_pairs(region, pairs):
+    """``region.to_json_dict()`` against the document built from the
+    ``(users, bound)`` pairs with lists: the same bytes under
+    ``json.dumps``, compact and indented; every ``subset`` a tuple of the
+    1-based users, shared between calls; and new dicts on every call, so
+    that changing one document leaves the next one as it was."""
     vertices = _vertices([b for _, b in pairs])
-    doc = region.to_json_dict()
-    assert doc == {
+    listed = {
         "feasible": region.feasible,
-        "rate_unit": ch.rate_unit,
+        "rate_unit": region.rate_unit,
         "halfspaces": [{"subset": [k + 1 for k in users], "bound": bound}
                        for users, bound in pairs],
         "vertices": None if vertices is None else [list(v) for v in vertices],
     }
-    doc["halfspaces"][0]["subset"].append(0)  # each call builds fresh lists
-    assert region.to_json_dict()["halfspaces"][0]["subset"] == [1]
+    doc = region.to_json_dict()
+    for indent in (None, 2):
+        assert json.dumps(doc, indent=indent) == json.dumps(listed, indent=indent)
+    subsets = [space["subset"] for space in doc["halfspaces"]]
+    assert all(type(users) is tuple for users in subsets)
+    assert subsets == [tuple(k + 1 for k in users) for users, _ in pairs]
+
+    again = region.to_json_dict()
+    assert again is not doc and again["halfspaces"] is not doc["halfspaces"]
+    assert not any(a is b for a, b in zip(again["halfspaces"], doc["halfspaces"]))
+    assert all(a["subset"] is b for a, b in zip(again["halfspaces"], subsets))
+    doc["halfspaces"][0]["bound"] += 1.0
+    doc["halfspaces"][-1]["subset"] = (0,)
+    doc["halfspaces"].append({"subset": (0,), "bound": 0.0})
+    doc["feasible"] = None
+    if doc["vertices"]:
+        doc["vertices"][-1].append(0.0)
+    for indent in (None, 2):
+        assert json.dumps(region.to_json_dict(), indent=indent) == json.dumps(listed, indent=indent)
+    return doc
 
 
 def test_sixteen_user_document_equals_the_pair_built_one():
     """The 2^16 - 1 halfspaces of the largest region: the same document
-    as one built from the ``(users, bound)`` pairs, with fresh lists."""
+    as one built from the ``(users, bound)`` pairs with lists."""
     gen = np.random.default_rng(16)
     ch = StandardChannel(h=tuple(gen.uniform(0.0, 2.0, 16)),
                          p_max=tuple(gen.uniform(0.0, 20.0, 16)))
     region = build_region(ch.p_max, ch)
+    pairs = tuple(zip(_subset_users(16)[1:], region.bounds))
+    _assert_document_stands_for_pairs(region, pairs)
+    assert region.to_json_dict()["halfspaces"][-1]["subset"] == tuple(range(1, 17))
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="object tracking is CPython's collector")
+def test_to_json_dict_gives_the_collector_nothing_to_walk():
+    """Once a collector pass has examined the shared subset tuples, a new
+    call's halfspace dicts hold only untracked values, so CPython does not
+    track them."""
+    gen = np.random.default_rng(27)
+    ch = StandardChannel(h=tuple(gen.uniform(0.0, 2.0, 16)),
+                         p_max=tuple(gen.uniform(0.0, 20.0, 16)))
+    region = build_region(ch.p_max, ch)
+    region.to_json_dict()
+    gc.collect()
     doc = region.to_json_dict()
-    assert doc == {
-        "feasible": region.feasible,
-        "rate_unit": ch.rate_unit,
-        "halfspaces": [{"subset": [k + 1 for k in users], "bound": bound}
-                       for users, bound in zip(_subset_users(16)[1:], region.bounds)],
-        "vertices": None,
-    }
-    assert doc["halfspaces"][-1]["subset"] == list(range(1, 17))
-    doc["halfspaces"][-1]["subset"].append(0)
-    assert region.to_json_dict()["halfspaces"][-1]["subset"] == list(range(1, 17))
+    assert not any(gc.is_tracked(space) for space in doc["halfspaces"])
 
 
 @pytest.mark.parametrize("enabled", [True, False])
