@@ -3,17 +3,17 @@ tree, with the claim rule applied in code.
 
 Usage::
 
-    python scripts/bench_pairs.py --base REV --workload W --pairs N \\
+    python scripts/bench_pairs.py --base REV --workload W \\
         --seeds 2721-2730 [--claim METRIC] --out BENCH_N.json
 
 The base is ``git archive REV`` and the change a copy of the working tree
 (tracked files and untracked ones that ``.gitignore`` does not name),
 each in its own temporary directory (under ``TMPDIR``), so both sides
-run the same way and neither run writes into the repository.  Pair ``i``
-runs ``python3 perfbench/run.py --workload W --seed SEEDS[i] --seconds S
---trace 0`` on both sides, the base first in even pairs and the change
-first in odd ones.  ``S`` is ``BENCHMARK.json``'s ``run_seconds`` unless
-``--seconds`` gives another.
+run the same way and neither run writes into the repository.  There is
+one pair per seed: pair ``i`` runs ``python3 perfbench/run.py --workload
+W --seed SEEDS[i] --seconds S --trace 0`` on both sides, the base first
+in even pairs and the change first in odd ones, where ``S`` is
+``BENCHMARK.json``'s ``run_seconds``.
 
 The output file holds one entry per workload under ``workloads``;
 running again with the same ``--out`` and another workload adds that
@@ -193,10 +193,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the revision to compare against")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seeds", nargs="+", required=True, help="N or A-B, one seed per pair")
+    parser.add_argument("--seeds", nargs="+", required=True, help="N or A-B, one pair per seed")
     parser.add_argument("--claim", help="the end-to-end metric the change claims to improve")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
@@ -205,9 +203,7 @@ def main(argv=None):
     if args.claim is not None and args.claim not in {m["name"] for m in declared}:
         parser.error(f"--claim: {args.claim} is not an end-to-end metric of BENCHMARK.json")
     seeds = parse_seeds(args.seeds)
-    if len(seeds) != args.pairs:
-        parser.error(f"--seeds: {len(seeds)} seeds for {args.pairs} pairs")
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
 
     runs, order = [], []

@@ -436,7 +436,9 @@ def load_channel(path) -> StandardChannel:
 
     The path is opened without blocking, so that a FIFO with no writer
     does not hold up the open, and a FIFO or socket is refused before any
-    read: no byte cap bounds how long a read from one may wait.  Any other
+    read: no byte cap bounds how long a read from one may wait.  (On Linux
+    the open itself fails on a socket, named or reached through
+    ``/dev/stdin``, so that refusal is the ``cannot read`` one.)  Any other
     file is read in blocking mode.
     """
     try:

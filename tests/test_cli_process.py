@@ -11,6 +11,7 @@ import atexit
 import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 from importlib import import_module
@@ -366,3 +367,39 @@ def test_a_fifo_is_refused_without_waiting_for_a_writer(tmp_path, held_open):
             os.close(fd)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: input: {fifo} is a pipe or socket, not a file\n"
+
+
+def _socket_refusals(path):
+    """The two one-line refusals of a socket: ``open`` fails on it where
+    the system gives no descriptor for a socket path (Linux, ENXIO), and
+    ``fstat`` names it where ``open`` succeeds."""
+    return (f"error: input: {path} is a pipe or socket, not a file\n",
+            f"error: input: cannot read {path}: [Errno {errno.ENXIO}] "
+            f"{os.strerror(errno.ENXIO)}: '{path}'\n")
+
+
+@pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs Unix sockets")
+@pytest.mark.parametrize("kind", ["named", "stdin"])
+def test_a_socket_is_refused_without_waiting(tmp_path, kind):
+    """A Unix socket bound to the path, or a connected socket given as
+    standard input and read as ``/dev/stdin`` with its peer held open and
+    silent: one line and exit 1, not a read that waits for the peer."""
+    a, b = socket.socketpair()
+    server = None
+    try:
+        if kind == "named":
+            path = str(tmp_path / "channel.json")
+            server = socket.socket(socket.AF_UNIX)
+            server.bind(path)
+            stdin = subprocess.DEVNULL
+        else:
+            path, stdin = "/dev/stdin", b
+        proc = subprocess.run([sys.executable, "-m", "gmacwt.cli", "standardize", path],
+                              stdin=stdin, capture_output=True, text=True,
+                              env=child_env(None), timeout=30)
+    finally:
+        for sock in (a, b, server):
+            if sock is not None:
+                sock.close()
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr in _socket_refusals(path)

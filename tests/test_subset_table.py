@@ -10,7 +10,6 @@ different magnitudes meet, and for the bound property 1e-300 to 1e300.
 
 import gc
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -260,12 +259,14 @@ def test_sixteen_user_document_equals_the_pair_built_one():
     assert region.to_json_dict()["halfspaces"][-1]["subset"] == tuple(range(1, 17))
 
 
-@pytest.mark.skipif(sys.implementation.name != "cpython",
-                    reason="object tracking is CPython's collector")
+@pytest.mark.skipif(gc.is_tracked({"subset": (), "bound": 0.0}),
+                    reason="this interpreter tracks a dict of untracked values")
 def test_to_json_dict_gives_the_collector_nothing_to_walk():
     """Once a collector pass has examined the shared subset tuples, a new
     call's halfspace dicts hold only untracked values, so CPython does not
-    track them."""
+    track them.  That a dict of untracked values is itself left untracked
+    is an implementation detail (CPython 3.11 does it); the skip condition
+    probes it directly."""
     gen = np.random.default_rng(27)
     ch = StandardChannel(h=tuple(gen.uniform(0.0, 2.0, 16)),
                          p_max=tuple(gen.uniform(0.0, 20.0, 16)))
