@@ -115,7 +115,7 @@ def grid_max_sum_rate(ch: StandardChannel, spec: GridSpec):
                     best, best_rate = point, rate.flat[i]
                     break
                 # only rounding gets here: mask the block and take its argmax again
-                rate[_infeasible(columns, [g * x for g, x in zip(ch.h, columns)], ch.h)] = -math.inf
+                rate[_infeasible(columns, ch.h)] = -math.inf
     return best, float(best_rate)
 
 

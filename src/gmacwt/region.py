@@ -117,34 +117,35 @@ def _violated_prefixes(p, hp):
             for a, b, c in zip(accumulate(p), accumulate(hp), c_hp)]
 
 
-def _infeasible(columns, hp, h):
-    """Where some gain-sorted prefix is violated, on a grid of points;
-    ``hp[k]`` is ``h[k] * columns[k]``, which callers have formed already.
+def _infeasible(columns, h):
+    """Where some gain-sorted prefix is violated, on a grid of points.
     A column is a float or an axis that broadcasts against the others;
     each verdict involves every user, so it has the whole grid's shape."""
     order = _gain_order(h)
-    first, *rest = _violated_prefixes([columns[k] for k in order], [hp[k] for k in order])
+    first, *rest = _violated_prefixes([columns[k] for k in order],
+                                      [h[k] * columns[k] for k in order])
     for violated in rest:
         first |= violated  # each is a new array, so it may be updated
     return first
 
 
-def _subset_users(k: int, first: int = 0) -> list[tuple[int, ...]]:
-    """User tuples of every subset in bitmask order, empty set first, with
-    the users numbered from ``first``."""
-    users = [()]
-    for j in range(first, first + k):
-        users += [u + (j,) for u in users]
-    return users
+def _subset_sums(terms, empty):
+    """Every subset's sum of ``terms`` in bitmask order, by doubling:
+    entry ``m`` is ``empty`` plus ``terms[j]`` for each set bit ``j`` of
+    ``m``, lowest bit first."""
+    sums = [empty]
+    for term in terms:
+        sums += [s + term for s in sums]
+    return sums
 
 
 @cache
-def _json_subsets(k: int) -> tuple[tuple[int, ...], ...]:
-    """The ``subset`` entries of ``RateRegion.to_json_dict``: 1-based user
-    tuples of every nonempty subset in bitmask order, built on the first
-    call for each K and shared by every later one (7 MB at K = 16, held
-    for the life of the process)."""
-    return tuple(_subset_users(k, 1)[1:])
+def _subsets(k: int, first: int = 0) -> tuple[tuple[int, ...], ...]:
+    """User tuples of every nonempty subset of ``k`` users in bitmask
+    order, the users numbered from ``first``: built on the first call for
+    each numbering and K and shared by every later one (7 MB at K = 16,
+    held for the life of the process)."""
+    return tuple(_subset_sums([(j,) for j in range(first, first + k)], ())[1:])
 
 
 def _finite_powers(powers, ch: StandardChannel) -> tuple[float, ...]:
@@ -242,7 +243,7 @@ class RateRegion(_Record):
     @property
     def halfspaces(self) -> tuple[tuple[tuple[int, ...], float], ...]:
         """``(users, bound)`` per nonempty subset, in bitmask order."""
-        return tuple(zip(_subset_users(self.num_users)[1:], self.bounds))
+        return tuple(zip(_subsets(self.num_users), self.bounds))
 
     @property
     def vertices(self) -> tuple[tuple[float, ...], ...] | None:
@@ -262,10 +263,7 @@ class RateRegion(_Record):
         """True iff the (componentwise nonnegative) rate vector satisfies
         every halfspace within CONTAINS_TOL."""
         r = _as_float_tuple("rates", rates, None, self.num_users)
-        sums = [0.0]  # every subset's rate sum, in bitmask order, by doubling
-        for x in r:
-            sums += [s + x for s in sums]
-        return all(s <= b + CONTAINS_TOL for s, b in zip(sums[1:], self.bounds))
+        return all(s <= b + CONTAINS_TOL for s, b in zip(_subset_sums(r, 0.0)[1:], self.bounds))
 
     def to_json_dict(self) -> dict:
         """The region as a JSON document, with fresh dicts on every call.
@@ -277,8 +275,13 @@ class RateRegion(_Record):
         shared tuples, and the 2^K - 1 dicts of a call give the collector
         nothing to walk.
         """
-        halfspaces = [{"subset": users, "bound": bound}
-                      for users, bound in zip(_json_subsets(self.num_users), self.bounds)]
+        return self._document([{"subset": users, "bound": bound}
+                               for users, bound in zip(_subsets(self.num_users, 1), self.bounds)])
+
+    def _document(self, halfspaces) -> dict:
+        """The region's JSON document, with ``halfspaces`` as its halfspace
+        list: the one place its keys are spelled, for ``to_json_dict`` and
+        the CLI's region writer."""
         vertices = self.vertices
         return {
             "feasible": self.feasible,
@@ -366,7 +369,7 @@ def _sweep_table(ch: StandardChannel, grid_steps: int) -> np.ndarray:
     import numpy as np
     p1, p2 = (_grid_axis(p, grid_steps) for p in ch.p_max)
     columns = [p1[:, None], p2]  # the grid by broadcasting, P1 down and P2 across
-    feasible = ~_infeasible(columns, [g * x for g, x in zip(ch.h, columns)], ch.h)
+    feasible = ~_infeasible(columns, ch.h)
     i, j = np.nonzero(feasible)  # row-major, i.e. ascending (P1, P2), order
     points = np.stack([p1[i], p2[j]], axis=1)
     return np.concatenate([points, _bounds(_subset_table(points, ch.h), ch.rate_unit)], axis=1)

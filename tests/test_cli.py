@@ -113,6 +113,7 @@ def test_region_json(tmp_path, capsys):
     [(0.1, 1.0), (1.5, 2.0), (3.0, 0.5)],
     [(0.05 * (k + 1), 0.5 + k) for k in range(12)],
     [(0.3 * (k + 1), 0.5 + k) for k in range(12)],
+    [(0.1 * (k + 1), 0.5 + k) for k in range(16)],  # the size the CLI's template is for
 ])
 @pytest.mark.parametrize("unit", ["bits", "nats"])
 def test_region_json_equals_the_generic_encoder(tmp_path, capsys, users, unit):

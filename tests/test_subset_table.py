@@ -22,7 +22,6 @@ from gmacwt.region import (
     InfeasibilityWitness,
     _bounds,
     _subset_table,
-    _subset_users,
     _sweep_table,
     _vertices,
 )
@@ -45,6 +44,13 @@ def channel_and_powers(draw, min_users=1, max_users=8, powers=POWERS):
     return StandardChannel(h=h, p_max=p, rate_unit=unit), p
 
 
+def _bitmask_subsets(k):
+    """0-based user tuples of every nonempty subset of ``k`` users, read
+    off the set bits of each mask ``m = 1 .. 2^k - 1``: a reference that
+    does not share the doubling ``gmacwt.region`` builds them by."""
+    return [tuple(j for j in range(k) if m >> j & 1) for m in range(1, 1 << k)]
+
+
 def _at_the_boundary(slack, p):
     """Whether ``slack`` is within rounding of -FEASIBILITY_TOL: the prefix
     check adds a subset's terms in gain order, ``secrecy_slack`` in index
@@ -62,7 +68,7 @@ def _gain_sorted_prefixes(ch):
 def test_is_feasible_verdict_matches_the_enumerator(case):
     ch, p = case
     least = min(secrecy_slack(users, p, ch)
-                for users in _subset_users(ch.num_users)[1:])
+                for users in _bitmask_subsets(ch.num_users))
     if not _at_the_boundary(least, p):
         assert is_feasible(p, ch)[0] is (least >= -FEASIBILITY_TOL)
 
@@ -183,11 +189,11 @@ def _add_in_order(terms):
 @given(channel_and_powers(), st.data())
 def test_region_bounds_stand_for_their_halfspace_pairs(case, data):
     """Every view of a region equals the one built from the pairs
-    ``zip(_subset_users(K)[1:], bounds)``, at feasible and infeasible
+    ``zip(_bitmask_subsets(K), bounds)``, at feasible and infeasible
     powers (where bounds can be negative)."""
     ch, p = case
     region = build_region(p, ch)
-    pairs = tuple(zip(_subset_users(ch.num_users)[1:], region.bounds))
+    pairs = tuple(zip(_bitmask_subsets(ch.num_users), region.bounds))
     assert len(pairs) == len(region.bounds) == (1 << ch.num_users) - 1
     assert region.num_users == ch.num_users
     assert region.halfspaces == pairs
@@ -254,7 +260,7 @@ def test_sixteen_user_document_equals_the_pair_built_one():
     ch = StandardChannel(h=tuple(gen.uniform(0.0, 2.0, 16)),
                          p_max=tuple(gen.uniform(0.0, 20.0, 16)))
     region = build_region(ch.p_max, ch)
-    pairs = tuple(zip(_subset_users(16)[1:], region.bounds))
+    pairs = tuple(zip(_bitmask_subsets(16), region.bounds))
     _assert_document_stands_for_pairs(region, pairs)
     assert region.to_json_dict()["halfspaces"][-1]["subset"] == tuple(range(1, 17))
 
