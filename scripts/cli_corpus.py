@@ -3,13 +3,13 @@
 Builds a seeded corpus of commands covering every subcommand: K = 1-4,
 8, 9 and 16, raw and standard documents, bits and nats, ``--verify`` on the
 default grids and on explicit coarse and fine ones, the jamming cases A,
-B and degenerate in both user orders with jammer caps up to 1e300, and
+B and degenerate in both user orders with jammer caps up to 1e300,
 every class of refusal (usage, file, document, flag and grid-cap
-errors).  Each command runs in this process through ``gmacwt.cli.main``
-from a scratch directory that holds the documents under relative paths,
-so that stderr compares between checkouts.  The record of a command is
-its exit code, the SHA-256 digest of its stdout (followed by the file
-that ``--out`` wrote, if any) and its stderr.
+errors) and the help screens.  Each command runs in this process through
+``gmacwt.cli.main`` from a scratch directory that holds the documents
+under relative paths, so that stderr compares between checkouts.  The
+record of a command is its exit code, the SHA-256 digest of its stdout
+(followed by the file that ``--out`` wrote, if any) and its stderr.
 
 The corpus is fixed by ``SEED``.  Run it against any checkout by putting
 that checkout's ``src`` first on the path; ``--save FILE`` writes the
@@ -31,6 +31,7 @@ import os
 import random
 import sys
 import tempfile
+from unittest import mock
 
 from gmacwt import cli
 
@@ -161,6 +162,11 @@ def _refusals(jam, region):
     ]
 
 
+#: The help screens: ``gmacwt`` and each command's.
+HELP = [["--help"], ["-h"]] + [[cmd, "--help"] for cmd in (
+    "standardize", "feasible", "region", "maxsum", "jam", "sweep")]
+
+
 def corpus():
     """``(documents, commands)``, every command an argv list."""
     docs = documents()
@@ -182,7 +188,7 @@ def corpus():
             commands += [["sweep", doc, "--kind", "jam"],
                          ["sweep", doc, "--kind", "jam", "--p1", "2", "--p2-step", step]]
             commands.append(["jam", doc, "--p2-step", "0"])
-    commands += _refusals("docs/jam0.json", "docs/k9.json")
+    commands += _refusals("docs/jam0.json", "docs/k9.json") + HELP
     return docs, commands
 
 
@@ -190,7 +196,10 @@ def run(argv):
     """Run one command; its exit code, stdout digest and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a checkout whose main() exits after --help
+            code = exc.code
     digest = hashlib.sha256(out.getvalue().encode())
     if "--out" in argv and code == 0:
         with open(argv[argv.index("--out") + 1], "rb") as fh:
@@ -199,10 +208,11 @@ def run(argv):
 
 
 def records():
-    """``{command: record}`` over the corpus, run in a scratch directory."""
+    """``{command: record}`` over the corpus, run in a scratch directory with
+    ``COLUMNS=80``: argparse wraps its help text to the terminal's width."""
     docs, commands = corpus()
     here = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch, mock.patch.dict(os.environ, COLUMNS="80"):
         os.chdir(scratch)
         try:
             os.mkdir("docs")

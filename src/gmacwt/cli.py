@@ -30,17 +30,9 @@ package's entry points, such as ``perfbench/spans.py``, look it up in
 ``sys.modules`` right after ``import gmacwt.cli``.
 
 ``run()`` is the process entry (the ``gmacwt`` script and ``python -m
-gmacwt.cli``).  It sets ``OPENBLAS_NUM_THREADS=1`` before ``main()`` can
-load numpy, unless the caller's environment already holds the variable:
-gmacwt calls no BLAS routine, and the worker thread that OpenBLAS
-otherwise starts on load spins for about 0.1 s of CPU, which slows the
-whole process when no core is free for it.  Once ``main()`` returns, ``run()``
-runs the ``atexit`` handlers, flushes stdout and stderr and ends the process
-with ``os._exit``: the interpreter's teardown, which frees every module and
-collects garbage for 7-25 ms and writes nothing, is skipped.  Under a tracer
-or profiler it exits with ``sys.exit`` instead, so the tool can still report.
-``main(argv)`` changes no environment and never exits, so tests and other
-in-process callers see none of this.
+gmacwt.cli``).  ``main(argv)`` changes no environment and never exits, not
+even for ``--help``: it returns the exit status, so tests and other
+in-process callers can call it.
 
 Output is written and flushed inside ``main()``: a stdout that cannot take
 it (a closed pipe, a full disk, no fd 1) is refused like an ``--out`` file
@@ -209,18 +201,6 @@ def _cmd_sweep(args, ch):
     return text
 
 
-#: Each command takes the parsed arguments and the channel, which ``main()``
-#: loads first, so a refused document loads no module beyond the CLI's own.
-_COMMANDS = {
-    "standardize": _cmd_standardize,
-    "feasible": _cmd_feasible,
-    "region": _cmd_region,
-    "maxsum": _cmd_maxsum,
-    "jam": _cmd_jam,
-    "sweep": _cmd_sweep,
-}
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as bad input (exit 1) instead of exiting 2."""
 
@@ -235,46 +215,46 @@ def _build_parser():
                     "cooperative jamming for the Gaussian multiple-access "
                     "wiretap channel.")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # every command's arguments
+    shared.add_argument("channel", help="channel JSON file")
+    shared.add_argument("--unit", choices=RATE_UNITS, default=None,
+                        help="override the document's rate unit")
+    shared.add_argument("--out", default=None,
+                        help="write output here instead of stdout")
 
-    def common(p):
-        p.add_argument("channel", help="channel JSON file")
-        p.add_argument("--unit", choices=RATE_UNITS, default=None,
-                       help="override the document's rate unit")
-        p.add_argument("--out", default=None,
-                       help="write output here instead of stdout")
+    def command(name, run, help):
+        """A command that ``main()`` runs as ``run(args, channel)``, once it has
+        loaded the channel, so a refused document loads no module beyond the CLI's."""
+        p = sub.add_parser(name, parents=[shared], help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("standardize", help="emit the standard-form channel")
-    common(p)
+    command("standardize", _cmd_standardize, "emit the standard-form channel")
 
-    p = sub.add_parser("feasible", help="test a power vector for feasibility")
-    common(p)
+    p = command("feasible", _cmd_feasible, "test a power vector for feasibility")
     p.add_argument("--power", required=True,
                    help="comma-separated per-user powers, e.g. 10,0")
 
-    p = sub.add_parser("region", help="achievable region at fixed powers")
-    common(p)
+    p = command("region", _cmd_region, "achievable region at fixed powers")
     p.add_argument("--power", default=None,
                    help="comma-separated per-user powers (default: p_max)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv emits the vertex list (K <= 2 only)")
 
-    p = sub.add_parser("maxsum", help="sum-rate-optimal power allocation")
-    common(p)
+    p = command("maxsum", _cmd_maxsum, "sum-rate-optimal power allocation")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the grid oracle")
     p.add_argument("--grid-steps", type=int, default=None,
                    help="oracle grid steps per axis (default: 11 for K <= 3, "
                         "6 up to K = 8, fewer above)")
 
-    p = sub.add_parser("jam", help="two-user cooperative jamming optimum")
-    common(p)
+    p = command("jam", _cmd_jam, "two-user cooperative jamming optimum")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the grid oracle")
     p.add_argument("--p2-step", type=float, default=None,
                    help="oracle grid step on the jamming power (default 1e-3, at most 10^7 points)")
 
-    p = sub.add_parser("sweep", help="CSV sweep data for plotting")
-    common(p)
+    p = command("sweep", _cmd_sweep, "CSV sweep data for plotting")
     p.add_argument("--kind", choices=("region", "jam"), required=True)
     p.add_argument("--grid-steps", type=int, default=11,
                    help="region sweep: grid steps per power axis")
@@ -308,7 +288,9 @@ def _emit(payload, out):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _emit(_COMMANDS[args.command](args, _load(args)), args.out)
+        _emit(args.run(args, _load(args)), args.out)
+    except SystemExit as exc:  # --help, printed by argparse
+        return exc.code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -324,7 +306,9 @@ def main(argv=None) -> int:
 def run():
     """The ``gmacwt`` process: ``main()`` on ``sys.argv`` with OpenBLAS held to one
     thread unless the caller set ``OPENBLAS_NUM_THREADS``, then the end of the
-    process with ``main()``'s status.
+    process with ``main()``'s status.  gmacwt calls no BLAS routine, and the
+    worker thread that OpenBLAS otherwise starts on load spins for about 0.1 s
+    of CPU, which slows the whole process when no core is free for it.
 
     The end keeps what a caller can see of a normal exit: the ``atexit``
     handlers run (the first step of the interpreter's own finalization), and

@@ -279,9 +279,9 @@ class RateRegion(_Record):
                                for users, bound in zip(_subsets(self.num_users, 1), self.bounds)])
 
     def _document(self, halfspaces) -> dict:
-        """The region's JSON document, with ``halfspaces`` as its halfspace
-        list: the one place its keys are spelled, for ``to_json_dict`` and
-        the CLI's region writer."""
+        """The region's JSON document with ``halfspaces`` as its halfspace list,
+        for ``to_json_dict`` and the CLI's region writer: the one place its top-level
+        keys are spelled (each writer spells a halfspace's ``subset`` and ``bound``)."""
         vertices = self.vertices
         return {
             "feasible": self.feasible,

@@ -655,11 +655,16 @@ def test_usage_error_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["maxsum", "--help"])
-    assert exc.value.code == 0
-    assert "--grid-steps" in capsys.readouterr().out
+@pytest.mark.parametrize("command", [None, "standardize", "feasible", "region", "maxsum",
+                                     "jam", "sweep"], ids=lambda c: c or "gmacwt")
+def test_help_returns_0(capsys, command):
+    """``main`` prints the help and returns, as it does for every request;
+    each command's help lists the arguments every command shares."""
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gmacwt ")
+    if command:
+        assert all(arg in out for arg in ("channel", "--unit", "--out"))
 
 
 def test_unwritable_output_file_exits_1(tmp_path, capsys):

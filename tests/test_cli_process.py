@@ -310,7 +310,7 @@ resource.setrlimit(resource.RLIMIT_AS, (%d, %d))
 import gmacwt.cli
 if sys.argv[1] == "--exhaust":  # a command whose request passes the limit
     del sys.argv[1]
-    gmacwt.cli._COMMANDS["standardize"] = lambda args, ch: bytearray(1 << 40)
+    gmacwt.cli._cmd_standardize = lambda args, ch: bytearray(1 << 40)
 gmacwt.cli.run()
 """ % (ADDRESS_SPACE, ADDRESS_SPACE)
 
