@@ -13,8 +13,11 @@ record of a command is its exit code, the SHA-256 digest of its stdout
 
 The corpus is fixed by ``SEED``.  Run it against any checkout by putting
 that checkout's ``src`` first on the path; ``--save FILE`` writes the
-records, and ``--compare FILE`` lists every command whose record differs
-from another checkout's and exits 1 if one does::
+records with the Python and numpy versions that made them, and ``--compare
+FILE`` lists every command whose record differs from another checkout's and
+exits 1 if one does.  It prints both sides' versions and warns when they
+differ: the stdout of the commands that use numpy follows the bits of
+numpy's ``log1p``, so such a difference need not come from the code::
 
     PYTHONPATH=other/src python scripts/cli_corpus.py --save other.json
     PYTHONPATH=src python scripts/cli_corpus.py --compare other.json
@@ -28,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import random
 import sys
 import tempfile
@@ -224,6 +228,20 @@ def records():
             os.chdir(here)
 
 
+def environment():
+    """The Python and numpy versions this process runs the corpus with
+    (numpy None where it is not installed)."""
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
+    return {"python": platform.python_version(), "numpy": numpy and numpy.__version__}
+
+
+def _versions(env):
+    return "not recorded" if env is None else f"Python {env['python']}, numpy {env['numpy']}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--save", help="write the records to this JSON file")
@@ -232,13 +250,20 @@ def main(argv=None):
     mine = records()
     print(f"{len(mine)} commands, exit codes "
           + ", ".join(f"{c}: {sum(r['code'] == c for r in mine.values())}" for c in (0, 1, 2)))
+    env = environment()
     if args.save:
         with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump(mine, fh, indent=1)
+            json.dump({"environment": env, "records": mine}, fh, indent=1)
     if not args.compare:
         return 0
     with open(args.compare, encoding="utf-8") as fh:
-        other = json.load(fh)
+        saved = json.load(fh)
+    # a file saved before the versions were recorded holds the records alone
+    other, other_env = saved.get("records", saved), saved.get("environment")
+    print(f"this:  {_versions(env)}\nother: {_versions(other_env)}")
+    if other_env != env:
+        print("warning: the environments differ; the stdout of commands that use numpy "
+              "follows numpy's log1p bits, so it may differ without a change to gmacwt")
     differ = [cmd for cmd in {**other, **mine} if mine.get(cmd) != other.get(cmd)]
     for cmd in differ:
         print(f"differs: gmacwt {cmd}\n  other: {other.get(cmd)}\n  this:  {mine.get(cmd)}")

@@ -124,7 +124,7 @@ def _sum_rates(columns, ch: StandardChannel):
     per-user ``columns``, axes that broadcast; feasibility is not checked."""
     hp = [g * x for g, x in zip(ch.h, columns)]
     s_p, s_hp = columns[-1], hp[-1]
-    for j in reversed(range(len(columns) - 1)):  # as the subset table adds
+    for j in reversed(range(len(columns) - 1)):  # as region._bounds adds
         s_p = s_p + columns[j]
         s_hp = s_hp + hp[j]
     return _capacities(s_p, ch.rate_unit) - _capacities(s_hp, ch.rate_unit)

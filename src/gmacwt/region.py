@@ -12,10 +12,9 @@ every subset, which is exactly the condition ``main(S) >= tap_intf(S)``.
 
 Membership in the allowable set is decided on the K prefixes of the users
 sorted by gain (``_violated_prefixes``), for one point or a broadcast grid.
-Region bounds are read from one table of every subset's power sums, built
-for a block of power points at once (``_subset_table``).  numpy is
-imported inside the functions that build arrays, so the CLI starts
-without it.
+Region bounds come from one table of every subset's power sums, built
+for a block of power points at once (``_bounds``).  numpy is imported
+inside the functions that build arrays, so the CLI starts without it.
 """
 
 from __future__ import annotations
@@ -48,18 +47,35 @@ CONTAINS_TOL = 1e-12
 MAX_SWEEP_POINTS = 1_000_000
 
 
-def _bounds(table, unit):
+def _bounds(points, h, unit):
     """Region bounds ``C(P_S) - C(hP_S / (1 + hP_{S^c}))`` of every
-    nonempty subset at each point of a subset table: one point per row,
-    in bitmask order.
+    nonempty subset at the points (rows) of ``points``, an array or a list
+    of power tuples: one row of bounds per point, in bitmask order.
 
-    Each is ``channel._secrecy_rate``'s one log ``C(N / D)``, with ``N =
-    sum(P_k (1 - h_k), S) + P_S hP_{S^c}`` and ``D = 1 + T``, where ``T =
-    sum(h_k P_k)`` is the full set's sum, one value per point; the
-    difference where ``N / D < -1/2`` or ``N`` or ``D`` overflowed.
+    Row ``m`` of one table holds the sums of ``P_k``, of ``h_k P_k`` and of
+    ``P_k (1 - h_k)`` over the subset with bitmask ``m``, so the ``h_k P_k``
+    rows read backwards are the complements' sums.  Pass ``j`` adds user
+    ``j`` to every subset of the users above it, so each sum adds its terms
+    from the highest index down, as the per-subset reference in
+    ``tests/helpers.py`` does.  Each bound is ``channel._secrecy_rate``'s
+    one log ``C(N / D)``, with ``N = sum(P_k (1 - h_k), S) + P_S hP_{S^c}``
+    and ``D = 1 + T``, where ``T = sum(h_k P_k)`` is the full set's sum, one
+    value per point; the difference where ``N / D < -1/2`` or ``N`` or
+    ``D`` overflowed.
     """
     import numpy as np
-    s_p, s_hp, c_hp, s_gap = (sums[1:] for sums in table)
+    points = np.asarray(points, dtype=float)
+    n, k = points.shape
+    scales = np.array([[1.0] * k, h, [1.0 - g for g in h]])
+    table = np.zeros((3, 1 << k, n))
+    for j in range(k - 1, -1, -1):
+        # user j's terms are formed in its pass: held beside the table as one
+        # (3, K, N) array, they made glibc trim the heap after every 51-step sweep
+        step = 1 << j
+        np.add(table[:, ::2 * step], scales[:, j, None, None] * points[:, j],
+               out=table[:, step::2 * step])
+    s_p, s_hp, s_gap = table[:, 1:]
+    c_hp = table[1, -2::-1]
     d = 1.0 + s_hp[-1]
     with np.errstate(all="ignore"):  # the entries that warn are replaced below
         x = (s_gap + s_p * c_hp) / d
@@ -70,32 +86,6 @@ def _bounds(table, unit):
         rates[far] = (_capacities(s_p[far], unit)
                       - _capacities(s_hp[far] / (1.0 + c_hp[far]), unit))
     return rates.T
-
-
-def _subset_table(points, h):
-    """Sums over every user subset at the points (rows) of ``points``, an
-    array or a list of power tuples.
-
-    Returns ``(s_p, s_hp, c_hp, s_gap)``, each ``(2^K, N)``: row ``m``
-    holds the sums of ``P_k``, of ``h_k P_k`` and of ``P_k (1 - h_k)`` over
-    the subset with bitmask ``m``, and of ``h_k P_k`` over its complement.
-    Pass ``j`` adds user ``j`` to every subset of the users above it, so
-    each sum adds its terms from the highest index down, as the
-    per-subset reference in ``tests/helpers.py`` does.
-    """
-    import numpy as np
-    points = np.asarray(points, dtype=float)
-    h = np.asarray(h)
-    n, k = points.shape
-    tables = []
-    for values in (points, points * h, points * (1.0 - h)):
-        table = np.zeros((1 << k, n))
-        for j in range(k - 1, -1, -1):
-            step = 1 << j
-            np.add(table[::2 * step], values[:, j], out=table[step::2 * step])
-        tables.append(table)
-    s_p, s_hp, s_gap = tables
-    return s_p, s_hp, s_hp[::-1], s_gap
 
 
 def _gain_order(h) -> list[int]:
@@ -316,11 +306,8 @@ def build_region(powers, ch: StandardChannel) -> RateRegion:
     """Achievable-region halfspaces at fixed powers, one per nonempty
     subset, with exact vertices for K <= 2."""
     p = _checked_powers(powers, ch)
-    # The witness comes before the bounds are converted to floats: after
-    # them, it made perfbench's K = 16 region tasks about 5% slower, by
-    # allocation order alone (a tight loop shows no difference).
-    table, feasible = _subset_table([p], ch.h), _witness(p, ch) is None
-    row, = _bounds(table, ch.rate_unit).tolist()
+    feasible = _witness(p, ch) is None
+    row, = _bounds([p], ch.h, ch.rate_unit).tolist()
     return RateRegion(tuple(row), feasible, ch.rate_unit)
 
 
@@ -372,7 +359,7 @@ def _sweep_table(ch: StandardChannel, grid_steps: int) -> np.ndarray:
     feasible = ~_infeasible(columns, ch.h)
     i, j = np.nonzero(feasible)  # row-major, i.e. ascending (P1, P2), order
     points = np.stack([p1[i], p2[j]], axis=1)
-    return np.concatenate([points, _bounds(_subset_table(points, ch.h), ch.rate_unit)], axis=1)
+    return np.concatenate([points, _bounds(points, ch.h, ch.rate_unit)], axis=1)
 
 
 def union_sweep(ch: StandardChannel, grid_steps: int):

@@ -62,8 +62,8 @@ def random_case_b(gen, p_low=0.0, p_high=20.0):
 #
 # Written from the paper's definitions, one subset or one point at a time,
 # for inputs the caller trusts: nothing is checked.  The per-subset sums add
-# their terms from the highest index down, as the subset table does, so the
-# sums equal the table's bit for bit.
+# their terms from the highest index down, as the sum table in
+# ``region._bounds`` does, so the sums equal the table's bit for bit.
 
 
 def awgn_capacity(snr, unit="bits"):

@@ -525,6 +525,14 @@ def test_a_step_count_is_refused_exactly_past_the_cap():
             channel._p2_points(step, p2_max)
 
 
+@pytest.mark.parametrize("step, p2_max, points", [(1.0, 3.0 - 1e-7, 3), (0.1, 0.3, 4)])
+def test_the_step_count_allows_for_rounding_and_no_more(step, p2_max, points):
+    """The last step may fall short of ``p2_max`` by 1e-9 steps for rounding:
+    ``0.3 / 0.1`` is 2.9999999999999996 and gives 4 points, while a point
+    1e-7 steps short of the end is not on the grid."""
+    assert channel._step_points(step, p2_max) == points
+
+
 def test_jam_verify_refuses_a_step_too_fine_for_both_oracle_axes(tmp_path, capsys):
     # The jamming oracle evaluates one point (p1 = p1_max) per jamming
     # power, so 1e-3 on [0, 12000] needs 12,000,001 of them.

@@ -146,9 +146,9 @@ def test_is_feasible_bound_witness():
 
 
 def test_is_feasible_builds_no_subset_table_at_16_users(monkeypatch):
-    def refuse(points, h):
+    def refuse(points, h, unit):
         raise AssertionError("is_feasible built the 2^K subset table")
-    monkeypatch.setattr(region_module, "_subset_table", refuse)
+    monkeypatch.setattr(region_module, "_bounds", refuse)
     h = tuple(0.25 * k for k in range(16))  # users 8..15 have h >= 2
     ch = StandardChannel(h=h, p_max=(1.0,) * 16)
     assert is_feasible((1.0,) * 8 + (0.0,) * 8, ch) == (True, None)
@@ -457,3 +457,23 @@ def test_union_sweep_requires_two_users():
 def test_union_sweep_refuses_a_step_count_that_is_not_an_integer(steps):
     with pytest.raises(ValidationError, match="grid_steps: must be an integer"):
         union_sweep(CH2, steps)
+
+
+@pytest.mark.parametrize("exponent, feasible", [(33, False), (43, True)])
+def test_feasibility_tolerance_from_both_sides(exponent, feasible):
+    """One user at its cap 1 with ``h = 1 + 2^-e`` has the slack ``-2^-e``:
+    -1.16e-10 lies past ``FEASIBILITY_TOL`` (1e-12), -1.1e-13 inside it."""
+    ch = StandardChannel(h=(1.0 + 2.0 ** -exponent,), p_max=(1.0,))
+    assert secrecy_slack((0,), (1.0,), ch) == -2.0 ** -exponent
+    assert is_feasible((1.0,), ch)[0] is feasible
+    assert build_region((1.0,), ch).feasible is feasible
+
+
+@pytest.mark.parametrize("excess, inside", [(1e-10, False), (1e-13, True)])
+def test_contains_tolerance_from_both_sides(excess, inside):
+    """A rate past the bound ``b1`` by 1e-10 lies outside the region, and by
+    1e-13 inside it: ``CONTAINS_TOL`` is 1e-12."""
+    region = build_region((1.0, 0.5), StandardChannel(h=(0.5, 0.25), p_max=(1.0, 1.0)))
+    b1, _, b12 = region.bounds
+    assert b1 + 1e-10 < b12  # only the halfspace of user 1 decides
+    assert region.contains((b1 + excess, 0.0)) is inside

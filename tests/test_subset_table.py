@@ -1,7 +1,8 @@
 """Property tests: the gain-sorted prefix check behind is_feasible and the
-subset table behind build_region and union_sweep, against the per-subset
-public functions (the enumerator), and RateRegion's bitmask-ordered
-bounds against the ``(users, bound)`` pairs they stand for.
+subset sums of ``region._bounds`` behind build_region and union_sweep,
+against the per-subset public functions (the enumerator), and
+RateRegion's bitmask-ordered bounds against the ``(users, bound)`` pairs
+they stand for.
 
 Gains spread over [0, 4] with a share within 1e-9 of 1, where a subset's
 slack is nearly 0; powers span 1e-6 to 1e6 (and 0), where sums of very
@@ -21,7 +22,6 @@ from gmacwt.region import (
     FEASIBILITY_TOL,
     InfeasibilityWitness,
     _bounds,
-    _subset_table,
     _sweep_table,
     _vertices,
 )
@@ -114,6 +114,25 @@ def test_build_region_bounds_match_subset_rates(case):
         assert abs(bound - (rates.main - rates.tap_intf)) <= 1e-12 * max(1.0, rates.main)
 
 
+@pytest.mark.parametrize("k, seed, unit", [(12, 1, "bits"), (12, 2, "nats"),
+                                           (16, 3, "bits"), (16, 4, "nats")])
+def test_large_region_bounds_match_subset_rates(k, seed, unit):
+    """300 random subsets of a 12- or 16-user region against the per-subset
+    reference, so users 8..15 are checked too: gains below 1, above 1 and
+    within 1e-9 of 1, at the caps and at a point inside the box."""
+    gen = np.random.default_rng(seed)
+    bands = [gen.uniform(0.0, 1.0, k), gen.uniform(1.0, 4.0, k), 1.0 + gen.uniform(-1e-9, 1e-9, k)]
+    h = np.choose(gen.permutation(k) % 3, bands)  # a third of the users from each band
+    ch = StandardChannel(h=tuple(h.tolist()), p_max=tuple(gen.uniform(0.0, 20.0, k)), rate_unit=unit)
+    for p in (ch.p_max, tuple(x * gen.uniform() for x in ch.p_max)):
+        region = build_region(p, ch)
+        for mask in gen.integers(1, 1 << k, 300).tolist():
+            users = tuple(j for j in range(k) if mask >> j & 1)
+            rates = subset_rates(users, p, ch)
+            bound = region.bounds[mask - 1]
+            assert abs(bound - (rates.main - rates.tap_intf)) <= 1e-12 * max(1.0, rates.main)
+
+
 @settings(max_examples=100, deadline=None)
 @given(channel_and_powers(min_users=2, max_users=2), st.integers(2, 7))
 def test_union_sweep_rows_equal_build_region(case, steps):
@@ -131,7 +150,7 @@ def _union_sweep_row_by_row(ch, steps):
     """``union_sweep`` built one row at a time, as a Python conversion per
     point and per bound row."""
     points = _sweep_table(ch, steps)[:, :2]
-    rows = _bounds(_subset_table(points, ch.h), ch.rate_unit).tolist()
+    rows = _bounds(points, ch.h, ch.rate_unit).tolist()
     return [(tuple(pt), RateRegion(tuple(row), True, ch.rate_unit))
             for pt, row in zip(points.tolist(), rows)]
 
